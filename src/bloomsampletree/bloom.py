@@ -116,6 +116,19 @@ class BloomFilter:
             out.inserted_count = self.inserted_count + other.inserted_count
         return out
 
+    def update(self, other: "BloomFilter") -> None:
+        """In-place union: set every bit that ``other`` has set.
+
+        Counts add as in ``union``; an unknown count on either side makes
+        the result unknown.
+        """
+        self._check_compatible(other)
+        self.words |= other.words
+        if self.inserted_count is not None:
+            self.inserted_count = (None if other.inserted_count is None
+                                   else self.inserted_count + other.inserted_count)
+        self._popcount = None
+
     def intersect(self, other: "BloomFilter") -> "BloomFilter":
         self._check_compatible(other)
         return BloomFilter(self.family, min(self.namespace_size, other.namespace_size),

@@ -22,6 +22,7 @@ import numpy as np
 
 from .bloom import BloomFilter, FamilyMismatchError
 from .estimate import fp_probability, intersection_estimate_counts
+from .hashing import HashFamily
 
 __all__ = [
     "OpCounters",
@@ -36,7 +37,9 @@ __all__ = [
 ]
 
 _MAGIC = b"BSTR"
-_VERSION = 1
+_VERSION = 2
+# One node index entry of the v2 file, packed: level (u8), then j (u64 LE).
+_INDEX_ENTRY = np.dtype([("level", "u1"), ("j", "<u8")])
 
 # An estimated intersection below half an element is treated as empty;
 # exposed as a tunable on every traversal entry point.
@@ -227,67 +230,67 @@ class BloomSampleTree:
     # construction ------------------------------------------------------
 
     @classmethod
-    def build_full(cls, plan: TreePlan, family) -> "BloomSampleTree":
-        """Complete tree; node (i, j) stores every namespace element of its range."""
+    def _build(cls, plan: TreePlan, family, leaves) -> "BloomSampleTree":
+        """Fill each given leaf with one bulk insert, then OR children upward.
+
+        ``leaves`` yields ``(leaf index, elements)`` pairs, so every element
+        is hashed exactly once, into its leaf.  A parent exists where at
+        least one of its children does.
+        """
         tree = cls(plan, family)
-        M = plan.namespace_size
-        for j in range(1 << plan.depth):
-            lo, hi = tree.node_range(plan.depth, j)
-            f = BloomFilter(family, plan.padded_size)
-            f.insert_many(np.arange(lo, min(hi, M), dtype=np.int64))
-            tree.nodes[(plan.depth, j)] = f
+        nodes = tree.nodes
+        present = []  # indices of the present nodes on the level being filled
+        for j, xs in leaves:
+            leaf = nodes[(plan.depth, j)] = BloomFilter(family, plan.padded_size)
+            leaf.insert_many(xs)
+            present.append(j)
         for level in range(plan.depth - 1, -1, -1):
-            for j in range(1 << level):
-                left = tree.nodes[(level + 1, 2 * j)]
-                right = tree.nodes[(level + 1, 2 * j + 1)]
-                tree.nodes[(level, j)] = left.union(right)
+            present = list(dict.fromkeys(j >> 1 for j in present))
+            for j in present:
+                kids = [nodes[c] for c in ((level + 1, 2 * j), (level + 1, 2 * j + 1))
+                        if c in nodes]
+                nodes[(level, j)] = kids[0].union(kids[1]) if len(kids) == 2 else kids[0].copy()
         return tree
 
     @classmethod
-    def build_pruned(cls, plan: TreePlan, family, occupied) -> "BloomSampleTree":
-        """Materialize only nodes whose range holds occupied elements.
+    def build_full(cls, plan: TreePlan, family) -> "BloomSampleTree":
+        """Complete tree; node (i, j) stores every namespace element of its range."""
+        M, width = plan.namespace_size, plan.leaf_size
+        return cls._build(plan, family, (
+            (j, np.arange(j * width, min((j + 1) * width, M), dtype=np.int64))
+            for j in range(1 << plan.depth)))
 
-        Breadth-first from the root: a dequeued range that intersects the
-        occupied set gets a filter of its occupied elements and enqueues
-        its halves until the leaf level.
-        """
-        tree = cls(plan, family)
-        occ = np.unique(np.asarray(list(occupied) if not isinstance(occupied, np.ndarray)
-                                   else occupied, dtype=np.int64))
-        if occ.size == 0:
-            return tree
-        if occ[0] < 0 or occ[-1] >= plan.namespace_size:
+    @classmethod
+    def build_pruned(cls, plan: TreePlan, family, occupied) -> "BloomSampleTree":
+        """Materialize only nodes whose range holds occupied elements."""
+        occ = np.sort(np.asarray(list(occupied) if not isinstance(occupied, np.ndarray)
+                                 else occupied, dtype=np.int64))
+        if occ.size and (occ[0] < 0 or occ[-1] >= plan.namespace_size):
             raise ValueError("occupied element outside the namespace")
-        queue = [(0, 0)]
-        while queue:
-            level, j = queue.pop(0)
-            lo, hi = tree.node_range(level, j)
-            a, b = np.searchsorted(occ, lo), np.searchsorted(occ, hi)
-            if a == b:
-                continue
-            f = BloomFilter(family, plan.padded_size)
-            f.insert_many(occ[a:b])
-            tree.nodes[(level, j)] = f
-            if level < plan.depth:
-                queue.append((level + 1, 2 * j))
-                queue.append((level + 1, 2 * j + 1))
-        return tree
+        occ = occ[np.diff(occ, prepend=-1) > 0]  # drop repeats; cheaper than np.unique
+        # leaf boundaries come from the data, so a sparse namespace costs O(n)
+        leaf = occ // plan.leaf_size
+        starts = np.flatnonzero(np.diff(leaf, prepend=-1))
+        ends = np.append(starts[1:], occ.size)
+        return cls._build(plan, family, ((int(leaf[s]), occ[s:e])
+                                         for s, e in zip(starts, ends)))
 
     def insert(self, x: int) -> None:
         """Add one occupied element, creating missing path nodes.
 
-        Touches at most depth+1 nodes (the root-to-leaf path for x).
+        Hashes x once into a one-element filter, then ORs that filter into
+        the leaf and each of its depth ancestors.
         """
-        if not 0 <= x < self.plan.padded_size:
+        if not 0 <= x < self.plan.namespace_size:
             raise ValueError(f"element {x} outside namespace")
+        one = BloomFilter(self.family, self.plan.padded_size)
+        one.insert(x)
         for level in range(self.plan.depth + 1):
-            width = self.plan.padded_size >> level
-            key = (level, x // width)
+            key = (level, x // (self.plan.padded_size >> level))
             node = self.nodes.get(key)
             if node is None:
-                node = BloomFilter(self.family, self.plan.padded_size)
-                self.nodes[key] = node
-            node.insert(x)
+                node = self.nodes[key] = BloomFilter(self.family, self.plan.padded_size)
+            node.update(one)
 
     # geometry ----------------------------------------------------------
 
@@ -317,7 +320,7 @@ class BloomSampleTree:
             raise FamilyMismatchError("query filter incompatible with tree filters")
 
     def _child_estimate(self, key, ctx) -> tuple[bool, float]:
-        """(is_empty, estimate) for one child; a missing node is empty at zero cost."""
+        """(is_empty, estimate) for one node; a missing node is empty at zero cost."""
         cached = ctx.est_cache.get(key)
         if cached is not None:
             return cached
@@ -335,19 +338,6 @@ class BloomSampleTree:
                 result = (est < ctx.threshold, est)
         ctx.est_cache[key] = result
         return result
-
-    def _node_estimate(self, key, ctx) -> bool:
-        """Emptiness of a node's own intersection with the query (reconstruction)."""
-        node = self.nodes.get(key)
-        if node is None:
-            return True
-        ctx.counters.intersections += 1
-        t_and = int(np.bitwise_count(node.words & ctx.query.words).sum())
-        if t_and == 0:
-            return True
-        est = intersection_estimate_counts(self.plan.m, self.plan.k,
-                                           node.popcount(), ctx.t1, t_and)
-        return est < ctx.threshold
 
     def _scan_leaf(self, key, ctx) -> np.ndarray:
         """Membership-test every namespace element of the leaf range."""
@@ -467,7 +457,7 @@ class BloomSampleTree:
 
     def _reconstruct_node(self, key, ctx) -> list:
         ctx.counters.nodes_visited += 1
-        if self._node_estimate(key, ctx):
+        if self._child_estimate(key, ctx)[0]:
             return []
         level, j = key
         if level == self.plan.depth:
@@ -500,36 +490,44 @@ class BloomSampleTree:
     # serialization -----------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        out = [_MAGIC, bytes([_VERSION]), self.plan.to_bytes(),
-               self.family.to_bytes(), struct.pack("<Q", len(self.nodes))]
-        for (level, j) in sorted(self.nodes):
-            presence = 0
-            if (level + 1, 2 * j) in self.nodes:
-                presence |= 1
-            if (level + 1, 2 * j + 1) in self.nodes:
-                presence |= 2
-            out.append(struct.pack("<BQB", level, j, presence))
-            out.append(self.nodes[(level, j)].to_bytes())
-        return b"".join(out)
+        """v2 layout: header, plan, family, node count, (level, j) index, words blob."""
+        keys = sorted(self.nodes)
+        return b"".join([_MAGIC, bytes([_VERSION]), self.plan.to_bytes(),
+                         self.family.to_bytes(), struct.pack("<Q", len(keys)),
+                         np.array(keys, dtype=_INDEX_ENTRY).tobytes(),
+                         *(self.nodes[key].words.astype("<u8").tobytes() for key in keys)])
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BloomSampleTree":
+        """Parse a v2 tree; any malformed or truncated input raises ValueError."""
         if data[:4] != _MAGIC:
             raise ValueError("bad magic: not a tree file")
-        if data[4] != _VERSION:
-            raise ValueError(f"unsupported tree version {data[4]}")
-        offset = 5
-        plan, offset = TreePlan.from_bytes(data, offset)
-        from .hashing import HashFamily
-        family, offset = HashFamily.from_bytes(data, offset)
-        (count,) = struct.unpack_from("<Q", data, offset)
-        offset += 8
+        try:
+            if data[4] != _VERSION:
+                raise ValueError(f"unsupported tree version {data[4]}")
+            plan, offset = TreePlan.from_bytes(data, 5)
+            family, offset = HashFamily.from_bytes(data, offset)
+            (count,) = struct.unpack_from("<Q", data, offset)
+        except (IndexError, struct.error):
+            raise ValueError("truncated tree file") from None
         tree = cls(plan, family)
-        for _ in range(count):
-            level, j, _presence = struct.unpack_from("<BQB", data, offset)
-            offset += 10
-            flt, offset = BloomFilter.from_bytes(data, offset)
-            tree.nodes[(level, j)] = flt
+        offset += 8
+        n_words = (plan.m + 63) // 64
+        if len(data) != offset + count * (_INDEX_ENTRY.itemsize + 8 * n_words):
+            raise ValueError("tree file size does not match its node count")
+        entries = np.frombuffer(data, _INDEX_ENTRY, count, offset)
+        words = np.frombuffer(data, "<u8", count * n_words, offset + entries.nbytes)
+        words = words.astype(np.uint64).reshape(count, n_words)
+        keys = list(zip(entries["level"].tolist(), entries["j"].tolist()))
+        for row, (level, j) in enumerate(keys):
+            if level > plan.depth or j >> level:
+                raise ValueError(f"node {(level, j)} outside a depth-{plan.depth} tree")
+            if row and keys[row - 1] >= (level, j):
+                raise ValueError("tree nodes not in ascending (level, j) order")
+            if level and (level - 1, j >> 1) not in tree.nodes:
+                raise ValueError(f"node {(level, j)} has no parent")
+            tree.nodes[(level, j)] = BloomFilter(family, plan.padded_size, words=words[row],
+                                                 inserted_count=None)
         return tree
 
     def save(self, path) -> None:

@@ -14,7 +14,7 @@ import numpy as np
 from .bloom import BloomFilter, build_filter
 from .bst import BloomSampleTree, plan_from_accuracy, plan_with_m, DEFAULT_THRESHOLD
 from .estimate import fp_probability, population_estimate
-from .hashing import FamilyKind, make_family
+from .hashing import FAMILY_NAMES, make_family
 from . import baselines
 from .evalkit import (
     SweepConfig,
@@ -25,12 +25,6 @@ from .evalkit import (
 )
 
 DEFAULT_SEED = 20260823
-
-_FAMILY_NAMES = {
-    "simple": FamilyKind.SIMPLE_LINEAR,
-    "murmur3": FamilyKind.MURMUR3,
-    "md5": FamilyKind.MD5,
-}
 
 
 def _resolve_cost_ratio(args) -> float:
@@ -94,13 +88,14 @@ def _read_occupied(path) -> np.ndarray:
 
 def cmd_build(args) -> int:
     plan = _make_plan(args)
-    family = make_family(_FAMILY_NAMES[args.family], plan.k, plan.m, seed=args.seed)
+    family = make_family(FAMILY_NAMES[args.family], plan.k, plan.m, seed=args.seed)
     if args.pruned is not None:
         tree = BloomSampleTree.build_pruned(plan, family, _read_occupied(args.pruned))
     else:
         tree = BloomSampleTree.build_full(plan, family)
-    tree.save(args.out)
     payload = tree.to_bytes()
+    with open(args.out, "wb") as fh:
+        fh.write(payload)
     print(f"nodes {tree.node_count}")
     print(f"bytes {len(payload)}")
     return 0
@@ -219,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="build a tree and write it to a file")
     _add_plan_args(p)
-    p.add_argument("--family", choices=sorted(_FAMILY_NAMES), default="simple")
+    p.add_argument("--family", choices=sorted(FAMILY_NAMES), default="simple")
     p.add_argument("--pruned", default=None,
                    help="occupied-elements file (one integer per line) for a pruned build")
     p.add_argument("--out", required=True)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bloom import BloomFilter, build_filter
 from .bst import BloomSampleTree, OpCounters, plan_from_accuracy, DEFAULT_THRESHOLD
-from .hashing import FamilyKind, make_family
+from .hashing import FAMILY_NAMES, FamilyKind, make_family
 from . import baselines
 
 __all__ = [
@@ -322,13 +322,6 @@ def calibrate_cost_ratio(m: int, k: int, trials: int = 50, rng=None) -> float:
 
 CSV_HEADER = "algorithm,M,n,accuracy,family,shape,intersections,membership,nodes,time_ns,trials"
 
-_FAMILY_NAMES = {
-    "simple": FamilyKind.SIMPLE_LINEAR,
-    "murmur3": FamilyKind.MURMUR3,
-    "md5": FamilyKind.MD5,
-}
-
-
 @dataclass
 class SweepConfig:
     """One benchmark grid; every list axis is swept as a cross product."""
@@ -437,7 +430,7 @@ def run_sweep(config: SweepConfig, progress=None) -> list[BenchRecord]:
                                    config.families, config.shapes))
     for idx, (algo, M, n, acc, fam_name, shape) in enumerate(cells):
         rng = np.random.default_rng(config.master_seed ^ idx)
-        kind = _FAMILY_NAMES[fam_name]
+        kind = FAMILY_NAMES[fam_name]
         plan = plan_from_accuracy(acc, n, M, config.k, config.cost_ratio)
         cache_key = (M, n, acc, fam_name)
         if cache_key not in tree_cache:

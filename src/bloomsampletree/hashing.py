@@ -18,6 +18,7 @@ import numpy as np
 
 __all__ = [
     "FamilyKind",
+    "FAMILY_NAMES",
     "HashFamily",
     "make_family",
     "hash_value",
@@ -36,6 +37,14 @@ class FamilyKind(enum.IntEnum):
     SIMPLE_LINEAR = 0
     MURMUR3 = 1
     MD5 = 2
+
+
+# Command-line and sweep-config spelling of each family.
+FAMILY_NAMES = {
+    "simple": FamilyKind.SIMPLE_LINEAR,
+    "murmur3": FamilyKind.MURMUR3,
+    "md5": FamilyKind.MD5,
+}
 
 
 @dataclass(frozen=True)

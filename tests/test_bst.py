@@ -127,6 +127,17 @@ class TestBuild:
         assert tree.node_count == plan.depth + 1
         assert all((lvl, 0) in tree.nodes for lvl in range(plan.depth + 1))
 
+    def test_pruned_sparse_huge_namespace(self):
+        M = 2**40
+        plan = plan_with_m(4000, M, 3, 240.0)
+        fam = make_family(FamilyKind.MURMUR3, 3, 4000, seed=0)
+        occ = np.random.default_rng(5).choice(M, size=1000, replace=False)
+        tree = BloomSampleTree.build_pruned(plan, fam, occ)
+        assert plan.depth >= 25
+        assert tree.node_count <= (plan.depth + 1) * occ.size
+        for x in occ[:20]:
+            assert tree.nodes[(plan.depth, int(x) // plan.leaf_size)].contains(int(x))
+
     def test_pruned_rejects_out_of_namespace(self):
         plan = plan_with_m(500, 16, 3, 2.0)
         fam = make_family(FamilyKind.MURMUR3, 3, 500, seed=0)
@@ -340,3 +351,110 @@ class TestTreeSerialization:
     def test_bad_magic(self):
         with pytest.raises(ValueError):
             BloomSampleTree.from_bytes(b"NOPE" + b"\0" * 100)
+
+
+class TestInsertHashesOnce:
+    def test_k_hash_calls_per_element(self, monkeypatch):
+        from bloomsampletree import bloom
+        tree, plan, fam = small_tree(M=1000, m=2000, leaf_ratio=8.0, occupied=[3, 700])
+        assert plan.depth >= 2
+        calls = []
+        real = bloom.hash_many
+
+        def counting(family, i, xs):
+            calls.append(i)
+            return real(family, i, xs)
+
+        monkeypatch.setattr(bloom, "hash_many", counting)
+        for x in (5, 701, 999):
+            calls.clear()
+            tree.insert(x)
+            assert sorted(calls) == list(range(fam.k))
+
+    def test_insert_into_loaded_tree_matches_batch_build(self):
+        rng = np.random.default_rng(37)
+        old = rng.choice(1000, size=40, replace=False)
+        new = rng.choice(1000, size=40, replace=False)
+        tree, plan, fam = small_tree(M=1000, m=2000, leaf_ratio=8.0, occupied=old)
+        loaded = BloomSampleTree.from_bytes(tree.to_bytes())
+        for x in new:
+            loaded.insert(int(x))
+        assert loaded == BloomSampleTree.build_pruned(plan, fam, np.union1d(old, new))
+
+    def test_insert_counts_one_per_path_node(self):
+        tree, plan, _ = small_tree(M=1000, m=2000, leaf_ratio=8.0, occupied=[3, 700])
+        before = {key: f.inserted_count for key, f in tree.nodes.items()}
+        tree.insert(5)
+        for level in range(plan.depth + 1):
+            key = (level, 5 // (plan.padded_size >> level))
+            assert tree.nodes[key].inserted_count == before.get(key, 0) + 1
+
+    def test_rejects_padding(self):
+        tree, plan, _ = small_tree(M=1000, m=2000, leaf_ratio=8.0, occupied=[])
+        assert plan.padded_size > plan.namespace_size
+        for x in (plan.namespace_size, plan.padded_size - 1, -1):
+            with pytest.raises(ValueError):
+                tree.insert(x)
+        assert tree.node_count == 0
+
+
+def _first_index_entry(tree) -> int:
+    """Byte offset of the first (level, j) entry of a serialized tree."""
+    return 5 + len(tree.plan.to_bytes()) + len(tree.family.to_bytes()) + 8
+
+
+class TestTreeFileValidation:
+    def test_empty_pruned_round_trip(self):
+        tree, _, _ = small_tree(M=16, occupied=[])
+        back = BloomSampleTree.from_bytes(tree.to_bytes())
+        assert back == tree and back.node_count == 0
+        assert back.to_bytes() == tree.to_bytes()
+
+    def test_every_truncation_rejected(self):
+        data = small_tree(M=16, m=200, leaf_ratio=2.0)[0].to_bytes()
+        for cut in range(len(data)):
+            with pytest.raises(ValueError):
+                BloomSampleTree.from_bytes(data[:cut])
+
+    def test_trailing_byte_rejected(self):
+        data = small_tree(M=16, m=200, leaf_ratio=2.0)[0].to_bytes()
+        with pytest.raises(ValueError):
+            BloomSampleTree.from_bytes(data + b"\0")
+
+    def test_level_above_depth_rejected(self):
+        tree = small_tree(M=16, m=200, leaf_ratio=2.0)[0]
+        data = bytearray(tree.to_bytes())
+        data[_first_index_entry(tree)] = 200
+        with pytest.raises(ValueError, match="outside"):
+            BloomSampleTree.from_bytes(bytes(data))
+
+    def test_index_beyond_level_width_rejected(self):
+        tree = small_tree(M=16, m=200, leaf_ratio=2.0)[0]
+        data = bytearray(tree.to_bytes())
+        data[_first_index_entry(tree) + 1] = 1  # root becomes (0, 1)
+        with pytest.raises(ValueError, match="outside"):
+            BloomSampleTree.from_bytes(bytes(data))
+
+    def test_orphan_node_rejected(self):
+        tree, plan, _ = small_tree(M=64, leaf_ratio=2.0, occupied=[1])
+        assert plan.depth >= 2
+        data = bytearray(tree.to_bytes())
+        last = _first_index_entry(tree) + 9 * (tree.node_count - 1)
+        assert data[last] == plan.depth
+        data[last + 1] = (1 << plan.depth) - 1  # leaf moves under an absent parent
+        with pytest.raises(ValueError, match="no parent"):
+            BloomSampleTree.from_bytes(bytes(data))
+
+    def test_duplicate_node_rejected(self):
+        tree = small_tree(M=16, m=200, leaf_ratio=2.0)[0]
+        data = bytearray(tree.to_bytes())
+        second = _first_index_entry(tree) + 9
+        data[second:second + 9] = bytes(9)  # a second (0, 0) entry
+        with pytest.raises(ValueError, match="order"):
+            BloomSampleTree.from_bytes(bytes(data))
+
+    def test_version_one_rejected(self):
+        data = bytearray(small_tree(M=16)[0].to_bytes())
+        data[4] = 1
+        with pytest.raises(ValueError, match="unsupported tree version 1"):
+            BloomSampleTree.from_bytes(bytes(data))

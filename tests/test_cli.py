@@ -188,3 +188,21 @@ class TestBench:
         config.write_text("algorithms = da\n")
         assert main(["bench", "--config", str(config),
                      "--out", str(tmp_path / "x.csv")]) == 1
+
+
+class TestCorruptTree:
+    @pytest.mark.parametrize("damage", ["truncate", "append", "level"])
+    def test_sample_exits_with_one_line_error(self, capsys, small_tree_file, damage):
+        data = bytearray(small_tree_file.read_bytes())
+        if damage == "truncate":
+            data = data[:30]
+        elif damage == "append":
+            data += b"\0"
+        else:
+            tree = BloomSampleTree.load(small_tree_file)
+            data[5 + len(tree.plan.to_bytes()) + len(tree.family.to_bytes()) + 8] = 200
+        small_tree_file.write_bytes(bytes(data))
+        code = main(["sample", "--tree", str(small_tree_file), "--set", "5"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
