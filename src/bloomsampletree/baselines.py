@@ -105,47 +105,43 @@ def hi_sample(query: BloomFilter, namespace_size: int, rng=None) -> SampleOutcom
 def hi_reconstruct(query: BloomFilter, namespace_size: int,
                    mode: ReconstructionMode = ReconstructionMode.AUTO,
                    ) -> tuple[np.ndarray, OpCounters]:
-    """Reconstruct by inverting every set bit, or every unset bit.
+    """Reconstruct by inverting every set bit, or every unset bit; ascending.
 
-    Set-bit mode unions the membership-pruned preimages of all set bits.
-    Unset-bit mode (cheaper for dense filters) removes every element
-    that hashes to some unset bit; what survives has all k bits set, so
-    both modes agree with the dictionary-attack oracle exactly.
+    Set-bit mode probes the h_0 preimages of the set bits, which hold each
+    positive once.  Unset-bit mode (cheaper for dense filters) keeps what no
+    h_i maps to an unset bit.  Both equal the dictionary-attack oracle exactly.
+    ``membership_queries`` counts candidates probed, or preimage elements marked.
     """
     if not query.family.invertible:
         raise NotImplementedError("hi_reconstruct needs a weakly invertible hash family")
+    query.family.check_namespace(namespace_size)
     if mode == ReconstructionMode.AUTO:
         mode = (ReconstructionMode.UNSET_BITS if query.popcount() > query.m / 2
                 else ReconstructionMode.SET_BITS)
     counters = OpCounters()
-    m, k = query.m, query.family.k
-    bits = np.unpackbits(query.words.view(np.uint8), bitorder="little")[:m].astype(bool)
-    # Residues r with h_i(x) = s for some selected bit s correspond to
-    # x mod m in a fixed set per hash function; evaluate chunk-wise.
+    family, m = query.family, query.m
+    # h depends only on x mod m and every window starts at a multiple of m,
+    # so one set of in-window preimage offsets serves every window.
+    width = -(-_CHUNK // m) * m
+    span = min(width, namespace_size)
+    if mode == ReconstructionMode.SET_BITS:
+        offsets = [preimage(family, 0, query.set_bit_indices(), span)]
+    else:
+        unset = query.unset_bit_indices()
+        offsets = [preimage(family, i, unset, span) for i in range(family.k)]
     parts = []
-    for lo in range(0, namespace_size, _CHUNK):
-        xs = np.arange(lo, min(lo + _CHUNK, namespace_size), dtype=np.int64)
+    for lo in range(0, namespace_size, width):
+        n = min(width, namespace_size - lo)
+        cut = [off[:np.searchsorted(off, n)] for off in offsets] if n < span else offsets
+        counters.membership_queries += sum(int(off.size) for off in cut)
         if mode == ReconstructionMode.SET_BITS:
-            candidate = np.zeros(xs.shape, dtype=bool)
-            pruned = np.ones(xs.shape, dtype=bool)
-            for i in range(k):
-                hit = bits[_hash_positions(query, i, xs)]
-                candidate |= hit
-                pruned &= hit
-            counters.membership_queries += int(candidate.sum())
-            parts.append(xs[candidate & pruned])
+            cand = cut[0] + lo
+            parts.append(cand[query.contains_many(cand)])
         else:
-            excluded = np.zeros(xs.shape, dtype=bool)
-            for i in range(k):
-                unset = ~bits[_hash_positions(query, i, xs)]
-                excluded |= unset
-            counters.membership_queries += int(xs.size)
-            parts.append(xs[~excluded])
+            marked = np.zeros(n, dtype=bool)
+            for off in cut:
+                marked[off] = True
+            parts.append(np.flatnonzero(~marked) + lo)
     if not parts:
         return np.empty(0, dtype=np.int64), counters
     return np.concatenate(parts), counters
-
-
-def _hash_positions(query: BloomFilter, i: int, xs: np.ndarray) -> np.ndarray:
-    from .hashing import hash_many
-    return hash_many(query.family, i, xs)

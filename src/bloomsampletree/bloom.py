@@ -41,6 +41,7 @@ class BloomFilter:
     def __init__(self, family: HashFamily, namespace_size: int,
                  words: Optional[np.ndarray] = None,
                  inserted_count: Optional[int] = 0):
+        family.check_namespace(namespace_size)
         self.family = family
         self.namespace_size = int(namespace_size)
         n_words = (family.m + 63) // 64
@@ -181,13 +182,16 @@ class BloomFilter:
 
     @classmethod
     def from_bytes(cls, data: bytes, offset: int = 0) -> tuple["BloomFilter", int]:
+        """Parse one filter block; malformed or truncated input raises ValueError."""
         if data[offset:offset + 4] != _MAGIC:
             raise ValueError("bad magic: not a Bloom filter block")
-        if data[offset + 4] != _VERSION:
-            raise ValueError(f"unsupported filter version {data[offset + 4]}")
-        offset += 5
-        family, offset = HashFamily.from_bytes(data, offset)
-        m, namespace_size, count = struct.unpack_from("<QQQ", data, offset)
+        try:
+            if data[offset + 4] != _VERSION:
+                raise ValueError(f"unsupported filter version {data[offset + 4]}")
+            family, offset = HashFamily.from_bytes(data, offset + 5)
+            m, namespace_size, count = struct.unpack_from("<QQQ", data, offset)
+        except (IndexError, struct.error):
+            raise ValueError("truncated Bloom filter block") from None
         offset += 24
         if m != family.m:
             raise ValueError("inconsistent m in filter block")
@@ -204,7 +208,10 @@ class BloomFilter:
     @classmethod
     def load(cls, path) -> "BloomFilter":
         with open(path, "rb") as fh:
-            flt, _ = cls.from_bytes(fh.read())
+            data = fh.read()
+        flt, end = cls.from_bytes(data)
+        if end != len(data):
+            raise ValueError(f"{len(data) - end} trailing bytes after the Bloom filter")
         return flt
 
 

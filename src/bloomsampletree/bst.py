@@ -415,14 +415,7 @@ class BloomSampleTree:
         outcome with ``element=None`` when every branch was a false
         overlap.
         """
-        self._check_query(query)
-        rng = np.random.default_rng() if rng is None else rng
-        ctx = _TraversalCtx(query, query.popcount(), threshold, rng,
-                            OpCounters(), {}, None)
-        if (0, 0) not in self.nodes:
-            return SampleOutcome(None, ctx.counters)
-        element = self._sample_node((0, 0), ctx)
-        return SampleOutcome(element, ctx.counters)
+        return self.sample_many(query, 1, threshold=threshold, rng=rng)[0]
 
     def sample_many(self, query: BloomFilter, r: int, with_replacement: bool = True,
                     threshold: float = DEFAULT_THRESHOLD, rng=None) -> list[SampleOutcome]:

@@ -60,11 +60,10 @@ class _Fenwick:
 
     def __init__(self, values: np.ndarray):
         self.n = len(values)
-        self.tree = np.concatenate([[0.0], values.astype(np.float64)])
-        for i in range(1, self.n + 1):
-            j = i + (i & -i)
-            if j <= self.n:
-                self.tree[j] += self.tree[i]
+        # node i covers (i - lowbit(i), i], read off the prefix sums
+        c = np.concatenate([[0.0], np.cumsum(values, dtype=np.float64)])
+        i = np.arange(1, self.n + 1)
+        self.tree = np.concatenate([[0.0], c[i] - c[i - (i & -i)]])
 
     def update(self, i: int, delta: float) -> None:
         i += 1
@@ -118,22 +117,21 @@ class ClusteredSampler:
             raise ValueError("namespace must be non-empty")
         if not 0.0 <= p < 100.0:
             raise ValueError("p is a percentage in [0, 100)")
-        self.M = namespace_size
         self.q = p / 100.0
         self.rng = np.random.default_rng() if rng is None else rng
         self.scale = 1.0
-        self.weights = _Fenwick(np.full(namespace_size, 1.0 / namespace_size))
+        # raw[i] mirrors the Fenwick's value i; pdf(i) = raw[i] * scale
+        self.raw = np.full(namespace_size, 1.0 / namespace_size)
+        self.weights = _Fenwick(self.raw)
         self.alive = _Fenwick(np.ones(namespace_size))
         self.alive_count = namespace_size
 
-    # pdf(i) = weights[i] * scale
     def pdf(self) -> np.ndarray:
-        w = np.array([self.weights.prefix(i) for i in range(self.M)])
-        w = np.diff(np.concatenate([[0.0], w]))
-        return w * self.scale
+        return self.raw * self.scale
 
-    def _raw(self, i: int) -> float:
-        return self.weights.prefix(i) - (self.weights.prefix(i - 1) if i else 0.0)
+    def _add(self, i: int, delta: float) -> None:
+        self.raw[i] += delta
+        self.weights.update(i, delta)
 
     def _neighbor_below(self, s: int) -> Optional[int]:
         rank = self.alive.prefix(s - 1) if s else 0.0
@@ -148,9 +146,8 @@ class ClusteredSampler:
         return self.alive.find(before + 0.5)
 
     def _renormalize(self) -> None:
-        w = np.array([self.weights.prefix(i) for i in range(self.M)])
-        w = np.diff(np.concatenate([[0.0], w])) * self.scale
-        self.weights = _Fenwick(w)
+        self.raw *= self.scale
+        self.weights = _Fenwick(self.raw)
         self.scale = 1.0
 
     def draw(self) -> int:
@@ -158,12 +155,13 @@ class ClusteredSampler:
             raise RuntimeError("pdf exhausted")
         target = self.rng.random() * self.weights.total()
         s = self.weights.find(target)
-        if self._raw(s) <= 0.0:
+        if self.raw[s] <= 0.0:
             # float boundary landed on a dead element; take an alive neighbor
             alt = self._neighbor_above(s)
             s = alt if alt is not None else self._neighbor_below(s)
-        mass = self._raw(s) * self.scale
-        self.weights.update(s, -self._raw(s))
+        raw = float(self.raw[s])
+        mass = raw * self.scale
+        self._add(s, -raw)
         self.alive.update(s, -1.0)
         self.alive_count -= 1
         x = self._neighbor_below(s)
@@ -171,12 +169,12 @@ class ClusteredSampler:
         targets = [t for t in (x, y) if t is not None]
         if targets:
             for t in targets:
-                self.weights.update(t, mass / len(targets) / self.scale)
+                self._add(t, mass / len(targets) / self.scale)
             if self.q > 0.0:
                 pool = self.q * self.weights.total() * self.scale
                 self.scale *= 1.0 - self.q
                 for t in targets:
-                    self.weights.update(t, pool / len(targets) / self.scale)
+                    self._add(t, pool / len(targets) / self.scale)
         if self.scale < 1e-120:
             self._renormalize()
         return s
@@ -433,15 +431,10 @@ def run_sweep(config: SweepConfig, progress=None) -> list[BenchRecord]:
         kind = FAMILY_NAMES[fam_name]
         plan = plan_from_accuracy(acc, n, M, config.k, config.cost_ratio)
         cache_key = (M, n, acc, fam_name)
-        if cache_key not in tree_cache:
-            family = make_family(kind, config.k, plan.m, seed=config.master_seed)
-            tree = (BloomSampleTree.build_full(plan, family)
-                    if algo == "bst" else None)
-            tree_cache[cache_key] = (family, tree)
-        family, tree = tree_cache[cache_key]
-        if algo == "bst" and tree is None:
-            tree = BloomSampleTree.build_full(plan, family)
-            tree_cache[cache_key] = (family, tree)
+        family = make_family(kind, config.k, plan.m, seed=config.master_seed)
+        if algo == "bst" and cache_key not in tree_cache:
+            tree_cache[cache_key] = BloomSampleTree.build_full(plan, family)
+        tree = tree_cache.get(cache_key)
         query_set = _make_query_set(shape, M, n, config.clustering_percent, rng)
         query = build_filter(family, M, query_set)
         totals = OpCounters()

@@ -12,7 +12,7 @@ import enum
 import math
 import struct
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +28,10 @@ __all__ = [
 
 _GOLDEN64 = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
+
+_INT64_MAX = (1 << 63) - 1
+# Keeps preimage's int64 product a^-1 * (s - b) below 2^62.
+_LINEAR_MAX_M = 1 << 31
 
 _MIX1 = np.uint64(0xFF51AFD7ED558CCD)
 _MIX2 = np.uint64(0xC4CEB9FE1A85EC53)
@@ -54,12 +58,17 @@ class HashFamily:
     ``params`` holds, per function, ``(a_i, b_i)`` pairs for the linear
     family or a single 64-bit seed for the other two.  Instances are
     immutable and value-comparable.
+
+    ``namespace_limit`` is the largest namespace the family hashes
+    exactly: keys are int64, and the linear family's ``a*x + b`` must not
+    overflow it, so its limit is ``min((2^63 - 1 - b) // a) + 1``.
     """
 
     kind: FamilyKind
     k: int
     m: int
     params: tuple
+    namespace_limit: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 1:
@@ -68,10 +77,22 @@ class HashFamily:
             raise ValueError("m must be >= 2")
         if len(self.params) != self.k:
             raise ValueError("need one parameter set per hash function")
+        limit = 1 << 63
         if self.kind == FamilyKind.SIMPLE_LINEAR:
-            for a, _ in self.params:
+            if self.m >= _LINEAR_MAX_M:
+                raise ValueError(f"linear family needs m < 2^31, got {self.m}")
+            for a, b in self.params:
                 if math.gcd(a, self.m) != 1:
                     raise ValueError(f"coefficient {a} not invertible mod {self.m}")
+            limit = min((_INT64_MAX - b) // a + 1 for a, b in self.params)
+        object.__setattr__(self, "namespace_limit", limit)
+
+    def check_namespace(self, namespace_size: int) -> None:
+        """Raise ValueError if ``namespace_size`` exceeds ``namespace_limit``."""
+        if namespace_size > self.namespace_limit:
+            raise ValueError(
+                f"namespace size {namespace_size} exceeds {self.namespace_limit}, "
+                f"the largest the {self.kind.name} family hashes exactly")
 
     @property
     def invertible(self) -> bool:
@@ -168,21 +189,25 @@ def hash_value(family: HashFamily, i: int, x: int) -> int:
     return int(hash_many(family, i, np.array([x], dtype=np.int64))[0])
 
 
-def preimage(family: HashFamily, i: int, s: int, namespace_size: int) -> np.ndarray:
-    """All x in [0, namespace_size) with h_i(x) == s, ascending.
+def preimage(family: HashFamily, i: int, s, namespace_size: int) -> np.ndarray:
+    """All x in [0, namespace_size) whose h_i(x) is in ``s``, ascending.
 
-    Only the linear family supports this; the result is the arithmetic
-    progression ``x0, x0+m, x0+2m, ...`` where ``x0 = a^-1 (s - b) mod m``,
-    so the cost is proportional to namespace_size / m.
+    ``s`` is one bit index or an array of distinct ones.  Only the linear
+    family supports this: bit s has preimage ``x0 + t*m`` with
+    ``x0 = a^-1 (s - b) mod m``, listed t-major, so ascending without a
+    sort, at cost proportional to |s| * namespace_size / m.
     """
     if not family.invertible:
         raise NotImplementedError(f"{family.kind.name} is not invertible")
     if not 0 <= i < family.k:
         raise IndexError(f"hash function index {i} out of range [0, {family.k})")
-    if not 0 <= s < family.m:
-        raise ValueError(f"bit index {s} out of range [0, {family.m})")
+    s = np.atleast_1d(np.asarray(s, dtype=np.int64))
+    if s.size and (s.min() < 0 or s.max() >= family.m):
+        raise ValueError(f"bit index out of range [0, {family.m})")
+    family.check_namespace(namespace_size)
     if namespace_size <= 0:
         return np.empty(0, dtype=np.int64)
     a, b = family.params[i]
-    x0 = (pow(a, -1, family.m) * (s - b)) % family.m
-    return np.arange(x0, namespace_size, family.m, dtype=np.int64)
+    x0 = np.sort(pow(a, -1, family.m) * (s - b) % family.m)
+    xs = (np.arange(0, namespace_size, family.m, dtype=np.int64)[:, None] + x0).ravel()
+    return xs[:np.searchsorted(xs, namespace_size)]

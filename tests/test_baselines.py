@@ -3,7 +3,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from bloomsampletree import bloom, hashing
 from bloomsampletree.baselines import (
+    _CHUNK,
     ReconstructionMode,
     da_sample,
     da_reconstruct,
@@ -12,7 +14,7 @@ from bloomsampletree.baselines import (
 )
 from bloomsampletree.bloom import BloomFilter, build_filter
 from bloomsampletree.estimate import fp_probability
-from bloomsampletree.hashing import FamilyKind, make_family
+from bloomsampletree.hashing import FamilyKind, hash_many, make_family
 
 
 class TestDaSample:
@@ -148,3 +150,49 @@ class TestHiReconstruct:
         fam = make_family(FamilyKind.MD5, 3, 100, seed=15)
         with pytest.raises(NotImplementedError):
             hi_reconstruct(BloomFilter(fam, 100), 100, ReconstructionMode.SET_BITS)
+
+
+class TestHiReconstructWindows:
+    @pytest.mark.parametrize("m", [1009, 70001])  # below and above _CHUNK
+    def test_all_modes_match_oracle_across_windows(self, m):
+        # M spans several windows and is a multiple of neither m nor the window
+        width = -(-_CHUNK // m) * m
+        M = 3 * width + m // 2
+        assert M % m and M % width
+        fam = make_family(FamilyKind.SIMPLE_LINEAR, 3, m, seed=m)
+        rng = np.random.default_rng(m)
+        for n in (30, m // 3):
+            q = build_filter(fam, M, rng.choice(M, size=n, replace=False))
+            oracle, _ = da_reconstruct(M, q)
+            for mode in ReconstructionMode:
+                got, _ = hi_reconstruct(q, M, mode)
+                assert np.array_equal(got, oracle)
+
+    def test_counters_count_elements_examined(self):
+        m, M = 997, 150001
+        fam = make_family(FamilyKind.SIMPLE_LINEAR, 3, m, seed=31)
+        q = build_filter(fam, M, np.random.default_rng(31).choice(M, size=40))
+        bits = np.unpackbits(q.words.view(np.uint8), bitorder="little")[:m].astype(bool)
+        xs = np.arange(M, dtype=np.int64)
+        _, set_counters = hi_reconstruct(q, M, ReconstructionMode.SET_BITS)
+        n_set = int(bits[hash_many(fam, 0, xs)].sum())
+        assert set_counters.membership_queries == n_set
+        assert n_set <= q.popcount() * -(-M // m)
+        _, unset_counters = hi_reconstruct(q, M, ReconstructionMode.UNSET_BITS)
+        assert unset_counters.membership_queries == sum(
+            int((~bits[hash_many(fam, i, xs)]).sum()) for i in range(3))
+
+    def test_set_mode_hashes_k_per_candidate(self, monkeypatch):
+        m, M = 997, 10**5
+        fam = make_family(FamilyKind.SIMPLE_LINEAR, 3, m, seed=32)
+        q = build_filter(fam, M, np.random.default_rng(32).choice(M, size=20))
+        hashed = []
+
+        def counting(family, i, xs):
+            hashed.append(np.size(xs))
+            return hash_many(family, i, xs)
+
+        monkeypatch.setattr(bloom, "hash_many", counting)
+        monkeypatch.setattr(hashing, "hash_many", counting)
+        _, counters = hi_reconstruct(q, M, ReconstructionMode.SET_BITS)
+        assert sum(hashed) == 3 * counters.membership_queries < 3 * M

@@ -174,3 +174,31 @@ class TestSerialization:
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
             BloomFilter.from_bytes(b"XXXX" + b"\0" * 64)
+
+    def test_every_truncation_rejected(self):
+        for kind in (FamilyKind.SIMPLE_LINEAR, FamilyKind.MURMUR3):
+            blob = build_filter(make_family(kind, 3, 130, seed=2), 1000, [4, 6]).to_bytes()
+            for cut in range(len(blob)):
+                with pytest.raises(ValueError):
+                    BloomFilter.from_bytes(blob[:cut])
+
+    def test_trailing_byte_rejected_on_load(self, tmp_path):
+        f = build_filter(make_family(FamilyKind.MURMUR3, 3, 130, seed=2), 1000, [4, 6])
+        path = tmp_path / "f.bflt"
+        path.write_bytes(f.to_bytes() + b"\0")
+        with pytest.raises(ValueError):
+            BloomFilter.load(path)
+
+
+class TestNamespaceLimit:
+    def test_linear_overflow_reproduction_rejected(self):
+        fam = make_family(FamilyKind.SIMPLE_LINEAR, 3, 10_000_019, seed=0)
+        with pytest.raises(ValueError):
+            BloomFilter(fam, 10**13 + 10**6)
+
+    def test_limit_is_inclusive(self):
+        for kind in FamilyKind:
+            fam = make_family(kind, 2, 101, seed=1)
+            BloomFilter(fam, fam.namespace_limit)
+            with pytest.raises(ValueError):
+                BloomFilter(fam, fam.namespace_limit + 1)

@@ -206,3 +206,25 @@ class TestCorruptTree:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestBadQueryFile:
+    @pytest.mark.parametrize("damage", ["header", "words", "append"])
+    def test_sample_exits_with_one_line_error(self, capsys, small_tree_file, tmp_path, damage):
+        tree = BloomSampleTree.load(small_tree_file)
+        data = build_filter(tree.family, 1000, [5]).to_bytes()
+        data = {"header": data[:8], "words": data[:-1], "append": data + b"\0"}[damage]
+        query = tmp_path / "q.bflt"
+        query.write_bytes(data)
+        code = main(["sample", "--tree", str(small_tree_file), "--query", str(query)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_build_rejects_namespace_the_linear_family_cannot_hash(capsys, tmp_path):
+    code = main(["build", "-M", str(10**13 + 10**6), "--force-m", "10000019",
+                 "--family", "simple", "--out", str(tmp_path / "t.bstr")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -146,3 +146,93 @@ class TestDescriptor:
     def test_invertible_flag(self):
         assert make_family(FamilyKind.SIMPLE_LINEAR, 1, 11, seed=0).invertible
         assert not make_family(FamilyKind.MD5, 1, 11, seed=0).invertible
+
+
+class TestPreimageOfBitArray:
+    def test_equals_sorted_union_of_single_bits(self):
+        rng = np.random.default_rng(21)
+        for m in (7, 101, 997):
+            fam = make_family(FamilyKind.SIMPLE_LINEAR, 2, m, seed=m)
+            bits = rng.choice(m, size=min(m, 40), replace=False)
+            for M in (0, 5, m, 3 * m + 2, 5000):
+                for i in range(2):
+                    got = preimage(fam, i, bits, M)
+                    union = np.sort(np.concatenate(
+                        [preimage(fam, i, int(s), M) for s in bits]))
+                    assert np.array_equal(got, union)
+                    xs = np.arange(M, dtype=np.int64)
+                    assert np.array_equal(got, xs[np.isin(hash_many(fam, i, xs), bits)])
+
+    def test_empty_bit_array(self):
+        fam = linear(1, 10, [(3, 2)])
+        assert preimage(fam, 0, np.array([], dtype=np.int64), 100).size == 0
+
+    def test_out_of_range_bit_in_array_rejected(self):
+        fam = linear(1, 10, [(3, 2)])
+        for bad in ([1, 10], [-1, 4]):
+            with pytest.raises(ValueError):
+                preimage(fam, 0, np.array(bad), 100)
+
+
+def _murmur_reference(seed, x):
+    mask = (1 << 64) - 1
+    h = (x ^ seed) & mask
+    for mult in (0xFF51AFD7ED558CCD, 0xC4CEB9FE1A85EC53):
+        h ^= h >> 33
+        h = (h * mult) & mask
+    return h ^ (h >> 33)
+
+
+class TestExactNamespace:
+    def test_linear_overflow_namespace_rejected(self):
+        # a*x overflows int64 here, so hashing would silently be wrong
+        fam = make_family(FamilyKind.SIMPLE_LINEAR, 3, 10_000_019, seed=0)
+        M = 10**13 + 10**6
+        assert fam.namespace_limit < M
+        with pytest.raises(ValueError):
+            preimage(fam, 0, 5, M)
+
+    def test_linear_m_below_two_to_the_31(self):
+        with pytest.raises(ValueError):
+            linear(1, 1 << 31, [(1, 0)])
+        with pytest.raises(ValueError):
+            make_family(FamilyKind.SIMPLE_LINEAR, 1, (1 << 31) + 11, seed=0)
+        assert linear(1, (1 << 31) - 1, [(3, 5)]).m == (1 << 31) - 1
+
+    def test_limits(self):
+        fam = linear(2, 101, [(3, 5), (7, 1)])
+        assert fam.namespace_limit == min(((1 << 63) - 1 - 5) // 3,
+                                          ((1 << 63) - 1 - 1) // 7) + 1
+        for kind in (FamilyKind.MURMUR3, FamilyKind.MD5):
+            assert make_family(kind, 2, 101, seed=0).namespace_limit == 1 << 63
+
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    def test_hash_many_matches_python_integers_near_limit(self, kind):
+        fam = make_family(kind, 3, (1 << 31) - 1, seed=17)
+        top = fam.namespace_limit
+        rng = np.random.default_rng(int(kind))
+        xs = np.concatenate([top - 1 - np.arange(20),
+                             rng.integers(top // 2, top, size=20)]).astype(np.int64)
+        for i in range(3):
+            if kind == FamilyKind.SIMPLE_LINEAR:
+                a, b = fam.params[i]
+                ref = [(a * int(x) + b) % fam.m for x in xs]
+            elif kind == FamilyKind.MURMUR3:
+                ref = [_murmur_reference(fam.params[i], int(x)) % fam.m for x in xs]
+            else:
+                import hashlib
+                import struct
+                ref = [int.from_bytes(hashlib.md5(struct.pack("<QQ", fam.params[i], int(x)))
+                                      .digest()[:8], "little") % fam.m for x in xs]
+            assert hash_many(fam, i, xs).tolist() == ref
+
+    def test_round_trip_at_large_accepted_namespace(self):
+        fam = make_family(FamilyKind.SIMPLE_LINEAR, 3, (1 << 31) - 1, seed=3)
+        M = fam.namespace_limit
+        rng = np.random.default_rng(4)
+        for x in [M - 1, M - 2, *rng.integers(M // 2, M, size=10).tolist()]:
+            for i in range(3):
+                a, b = fam.params[i]
+                s = hash_value(fam, i, x)
+                assert s == (a * x + b) % fam.m
+                assert x in preimage(fam, i, s, M)
