@@ -13,7 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-from .bloom import BloomFilter
+# the HashInvert window is the smallest multiple of m that holds a scan chunk
+from .bloom import SCAN_CHUNK as _CHUNK, BloomFilter
 from .bst import OpCounters, SampleOutcome
 from .hashing import preimage
 
@@ -25,23 +26,11 @@ __all__ = [
     "hi_reconstruct",
 ]
 
-_CHUNK = 1 << 16
-
 
 class ReconstructionMode(enum.Enum):
     SET_BITS = "set"
     UNSET_BITS = "unset"
     AUTO = "auto"
-
-
-def _positive_scan(query: BloomFilter, namespace_size: int) -> np.ndarray:
-    parts = []
-    for lo in range(0, namespace_size, _CHUNK):
-        xs = np.arange(lo, min(lo + _CHUNK, namespace_size), dtype=np.int64)
-        parts.append(xs[query.contains_many(xs)])
-    if not parts:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(parts)
 
 
 def da_sample(namespace_size: int, query: BloomFilter, rng=None) -> SampleOutcome:
@@ -53,7 +42,7 @@ def da_sample(namespace_size: int, query: BloomFilter, rng=None) -> SampleOutcom
     """
     rng = np.random.default_rng() if rng is None else rng
     counters = OpCounters(membership_queries=namespace_size)
-    hits = _positive_scan(query, namespace_size)
+    hits = query.scan([(0, namespace_size)])
     reservoir: Optional[int] = None
     for i, x in enumerate(hits):
         if rng.random() < 1.0 / (i + 1):
@@ -64,7 +53,7 @@ def da_sample(namespace_size: int, query: BloomFilter, rng=None) -> SampleOutcom
 def da_reconstruct(namespace_size: int, query: BloomFilter) -> tuple[np.ndarray, OpCounters]:
     """Exactly {x in [0, M) : contains(query, x)}; the correctness oracle."""
     counters = OpCounters(membership_queries=namespace_size)
-    return _positive_scan(query, namespace_size), counters
+    return query.scan([(0, namespace_size)]), counters
 
 
 def hi_sample(query: BloomFilter, namespace_size: int, rng=None) -> SampleOutcome:

@@ -21,8 +21,10 @@ _VERSION = 1
 _COUNT_ABSENT = (1 << 64) - 1
 
 _ONE = np.uint64(1)
-_SIX = np.uint64(6)
 _LOW6 = np.uint64(63)
+# Elements per membership call in ``scan``; one call over 10^6 elements
+# measured slower than chunks of this size.
+SCAN_CHUNK = 1 << 16
 
 
 class FamilyMismatchError(ValueError):
@@ -95,15 +97,64 @@ class BloomFilter:
     def contains(self, x: int) -> bool:
         return bool(self.contains_many(np.array([x], dtype=np.int64))[0])
 
-    def contains_many(self, xs: np.ndarray) -> np.ndarray:
-        """Boolean array: all k probed bits set, per element."""
+    def _bits_for(self, n: int) -> Optional[np.ndarray]:
+        """The bits unpacked to one bool each when probing ``n`` elements
+        pays for the O(m) unpack, else None.
+
+        The unpack costs 0.15-0.33 ns per bit and a byte gather saves
+        1.5-3 ns per probe over reading the word and shifting in calls of
+        2^16 elements, 4-6 ns in calls of 2,000 (m from 60,870 to 10^8), so
+        it pays from about one probe per 10-30 bits; it is done from one
+        probe per 16 bits.
+        """
+        if 16 * n * self.family.k < self.m:
+            return None
+        return np.unpackbits(self.words.view(np.uint8), bitorder="little").view(bool)
+
+    def contains_many(self, xs: np.ndarray, *, bits: Optional[np.ndarray] = None
+                      ) -> np.ndarray:
+        """Boolean array: all k probed bits set, per element.
+
+        ``bits`` is ``words`` unpacked to one bool per bit, passed by ``scan``
+        so that a long scan unpacks once; without it a call unpacks only when
+        it has enough probes.  Nothing is cached, since ``words`` may be edited.
+        """
         xs = np.asarray(xs, dtype=np.int64)
+        if bits is None:
+            bits = self._bits_for(xs.size)
         ok = np.ones(xs.shape, dtype=bool)
         for i in range(self.family.k):
             idx = hash_many(self.family, i, xs)
-            bits = (self.words[idx >> 6] >> (idx.astype(np.uint64) & _LOW6)) & _ONE
-            ok &= bits.astype(bool)
+            if bits is None:
+                ok &= ((self.words[idx >> 6] >> (idx.astype(np.uint64) & _LOW6))
+                       & _ONE).astype(bool)
+            else:
+                ok &= bits[idx]
         return ok
+
+    def scan(self, ranges) -> np.ndarray:
+        """Ascending elements of the ascending, disjoint [lo, hi) ``ranges``
+        that the filter contains.
+
+        Abutting ranges are merged and each merged range is probed in chunks
+        of ``SCAN_CHUNK`` elements, one ``contains_many`` call per chunk; the
+        bits are unpacked at most once per scan.
+        """
+        merged: list = []
+        for lo, hi in ranges:
+            if hi <= lo:
+                continue
+            if merged and merged[-1][1] == lo:
+                merged[-1][1] = hi
+            else:
+                merged.append([lo, hi])
+        bits = self._bits_for(sum(hi - lo for lo, hi in merged))
+        parts = []
+        for lo, hi in merged:
+            for start in range(lo, hi, SCAN_CHUNK):
+                xs = np.arange(start, min(start + SCAN_CHUNK, hi), dtype=np.int64)
+                parts.append(xs[self.contains_many(xs, bits=bits)])
+        return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
     def _check_compatible(self, other: "BloomFilter"):
         if self.family != other.family:

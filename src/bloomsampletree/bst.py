@@ -9,7 +9,7 @@ leaf scans.
 
 The namespace is padded up to ``M_bot * 2^depth`` so every level
 partitions it uniformly; the padding region is never inserted or
-scanned.
+scanned, and every node filter is bounded by M itself.
 """
 from __future__ import annotations
 
@@ -44,6 +44,10 @@ _INDEX_ENTRY = np.dtype([("level", "u1"), ("j", "<u8")])
 # An estimated intersection below half an element is treated as empty;
 # exposed as a tunable on every traversal entry point.
 DEFAULT_THRESHOLD = 0.5
+# Bound on the node words stacked at once by the level walks of
+# ``reconstruct`` and ``verify``, so their memory does not grow with the
+# width of the tree.
+_STACK_BYTES = 1 << 22
 
 
 class PlanError(ValueError):
@@ -190,6 +194,12 @@ def plan_with_m(m: int, namespace_size: int, k: int, cost_ratio: float,
     return TreePlan(namespace_size, m, k, depth, leaf, accuracy_target, cost_ratio)
 
 
+def _check_threshold(threshold: float) -> None:
+    # every pruning test is `estimate < threshold`, which NaN never satisfies
+    if math.isnan(threshold):
+        raise ValueError("threshold must be a number, not NaN")
+
+
 class _TraversalCtx:
     """Per-call state shared across the recursive descent."""
 
@@ -223,6 +233,7 @@ class BloomSampleTree:
     def __init__(self, plan: TreePlan, family, nodes: Optional[dict] = None):
         if family.m != plan.m or family.k != plan.k:
             raise ValueError("hash family does not match the plan's (m, k)")
+        family.check_namespace(plan.namespace_size)
         self.plan = plan
         self.family = family
         self.nodes = nodes if nodes is not None else {}
@@ -241,7 +252,7 @@ class BloomSampleTree:
         nodes = tree.nodes
         present = []  # indices of the present nodes on the level being filled
         for j, xs in leaves:
-            leaf = nodes[(plan.depth, j)] = BloomFilter(family, plan.padded_size)
+            leaf = nodes[(plan.depth, j)] = BloomFilter(family, plan.namespace_size)
             leaf.insert_many(xs)
             present.append(j)
         for level in range(plan.depth - 1, -1, -1):
@@ -283,13 +294,13 @@ class BloomSampleTree:
         """
         if not 0 <= x < self.plan.namespace_size:
             raise ValueError(f"element {x} outside namespace")
-        one = BloomFilter(self.family, self.plan.padded_size)
+        one = BloomFilter(self.family, self.plan.namespace_size)
         one.insert(x)
         for level in range(self.plan.depth + 1):
             key = (level, x // (self.plan.padded_size >> level))
             node = self.nodes.get(key)
             if node is None:
-                node = self.nodes[key] = BloomFilter(self.family, self.plan.padded_size)
+                node = self.nodes[key] = BloomFilter(self.family, self.plan.namespace_size)
             node.update(one)
 
     # geometry ----------------------------------------------------------
@@ -312,6 +323,38 @@ class BloomSampleTree:
         return (self.plan == other.plan and self.family == other.family
                 and self.nodes.keys() == other.nodes.keys()
                 and all(self.nodes[k] == other.nodes[k] for k in self.nodes))
+
+    def verify(self) -> None:
+        """Check that every non-leaf node equals the OR of its present children.
+
+        Runs level by level over stacked words, in the batches that
+        ``reconstruct`` uses, and raises ``ValueError`` naming the first bad
+        ``(level, j)``.  ``from_bytes`` does not call it; the CLI does.
+        """
+        levels: dict = {}
+        for level, j in sorted(self.nodes):
+            levels.setdefault(level, []).append(j)
+        for level in range(self.plan.depth):
+            for js in self._batches(levels.get(level, [])):
+                words = np.stack([self.nodes[(level, j)].words for j in js])
+                ors = np.zeros_like(words)
+                for side in (0, 1):
+                    rows = [r for r, j in enumerate(js)
+                            if (level + 1, 2 * j + side) in self.nodes]
+                    if rows:
+                        ors[rows] |= np.stack([self.nodes[(level + 1, 2 * js[r] + side)].words
+                                               for r in rows])
+                bad = np.flatnonzero((ors != words).any(axis=1))
+                if bad.size:
+                    raise ValueError(f"tree node {(level, js[bad[0]])} "
+                                     "is not the OR of its children")
+
+    def _batches(self, items: list):
+        """Consecutive runs of ``items`` (one per node) short enough that the
+        nodes' stacked words fit in ``_STACK_BYTES``."""
+        step = max(1, _STACK_BYTES // (8 * ((self.plan.m + 63) // 64)))
+        for start in range(0, len(items), step):
+            yield items[start:start + step]
 
     # traversal helpers -------------------------------------------------
 
@@ -345,12 +388,8 @@ class BloomSampleTree:
         if hits is None:
             lo, hi = self.node_range(*key)
             hi = min(hi, self.plan.namespace_size)
-            if hi <= lo:
-                hits = np.empty(0, dtype=np.int64)
-            else:
-                xs = np.arange(lo, hi, dtype=np.int64)
-                hits = xs[ctx.query.contains_many(xs)]
-                ctx.counters.membership_queries += hi - lo
+            hits = ctx.query.scan([(lo, hi)])
+            ctx.counters.membership_queries += max(0, hi - lo)
             ctx.counters.leaves_scanned += 1
             ctx.leaf_cache[key] = hits
         return hits
@@ -429,6 +468,7 @@ class BloomSampleTree:
         """
         if r < 1:
             raise ValueError("r must be >= 1")
+        _check_threshold(threshold)
         self._check_query(query)
         rng = np.random.default_rng() if rng is None else rng
         t1 = query.popcount()
@@ -448,37 +488,47 @@ class BloomSampleTree:
             outcomes.append(SampleOutcome(element, ctx.counters))
         return outcomes
 
-    def _reconstruct_node(self, key, ctx) -> list:
-        ctx.counters.nodes_visited += 1
-        if self._child_estimate(key, ctx)[0]:
-            return []
-        level, j = key
-        if level == self.plan.depth:
-            hits = self._scan_leaf(key, ctx)
-            return [hits] if hits.size else []
-        parts = []
-        for ckey in ((level + 1, 2 * j), (level + 1, 2 * j + 1)):
-            if ckey in self.nodes:
-                parts.extend(self._reconstruct_node(ckey, ctx))
-        return parts
-
     def reconstruct(self, query: BloomFilter,
                     threshold: float = DEFAULT_THRESHOLD) -> tuple[np.ndarray, OpCounters]:
-        """All membership-positive elements reachable through the tree.
+        """All membership-positive elements reachable through the tree, ascending.
 
-        With threshold 0 pruning fires only on bit-exact empty
-        intersections, which never discard a positive, so the result
-        equals a full dictionary scan of the covered namespace.
+        Walks the tree one level at a time: the present nodes of the
+        frontier get a stacked AND plus popcount against the query (in
+        batches of at most ``_STACK_BYTES`` of words), a
+        node whose AND is empty or whose estimate is below ``threshold`` is
+        pruned, and the children of the rest form the next frontier.  The
+        surviving leaves are then scanned as one list of ranges.  With
+        threshold 0 pruning fires only on bit-exact empty intersections,
+        which never discard a positive, so the result equals a full
+        dictionary scan of the covered namespace.
         """
+        _check_threshold(threshold)
         self._check_query(query)
-        ctx = _TraversalCtx(query, query.popcount(), threshold, None,
-                            OpCounters(), {}, None)
-        if (0, 0) not in self.nodes:
-            return np.empty(0, dtype=np.int64), ctx.counters
-        parts = self._reconstruct_node((0, 0), ctx)
-        if not parts:
-            return np.empty(0, dtype=np.int64), ctx.counters
-        return np.concatenate(parts), ctx.counters
+        counters = OpCounters()
+        plan, t1 = self.plan, query.popcount()
+        frontier = [0]
+        for level in range(plan.depth + 1):
+            if level:
+                frontier = [c for j in frontier for c in (2 * j, 2 * j + 1)]
+            present = [(j, self.nodes[(level, j)]) for j in frontier
+                       if (level, j) in self.nodes]
+            if not present:
+                return np.empty(0, dtype=np.int64), counters
+            counters.intersections += len(present)
+            counters.nodes_visited += len(present)
+            frontier = []
+            for batch in self._batches(present):
+                stack = np.stack([node.words for _, node in batch])
+                np.bitwise_and(stack, query.words, out=stack)
+                t_and = np.bitwise_count(stack).sum(axis=1).tolist()
+                frontier += [j for (j, node), t in zip(batch, t_and)
+                             if t and not intersection_estimate_counts(
+                                 plan.m, plan.k, node.popcount(), t1, t) < threshold]
+        M, width = plan.namespace_size, plan.leaf_size
+        ranges = [(j * width, min((j + 1) * width, M)) for j in frontier]
+        counters.leaves_scanned = len(ranges)
+        counters.membership_queries = sum(max(0, hi - lo) for lo, hi in ranges)
+        return query.scan(ranges), counters
 
     # serialization -----------------------------------------------------
 
@@ -519,8 +569,8 @@ class BloomSampleTree:
                 raise ValueError("tree nodes not in ascending (level, j) order")
             if level and (level - 1, j >> 1) not in tree.nodes:
                 raise ValueError(f"node {(level, j)} has no parent")
-            tree.nodes[(level, j)] = BloomFilter(family, plan.padded_size, words=words[row],
-                                                 inserted_count=None)
+            tree.nodes[(level, j)] = BloomFilter(family, plan.namespace_size,
+                                                 words=words[row], inserted_count=None)
         return tree
 
     def save(self, path) -> None:

@@ -101,6 +101,12 @@ def cmd_build(args) -> int:
     return 0
 
 
+def _load_tree(args) -> BloomSampleTree:
+    tree = BloomSampleTree.load(args.tree)
+    tree.verify()
+    return tree
+
+
 def _load_query(args, tree: BloomSampleTree) -> BloomFilter:
     if args.set is not None:
         elements = [int(v) for v in args.set.split(",") if v.strip()]
@@ -126,7 +132,7 @@ def _print_counters(counters):
 
 
 def cmd_sample(args) -> int:
-    tree = BloomSampleTree.load(args.tree)
+    tree = _load_tree(args)
     query = _load_query(args, tree)
     rng = np.random.default_rng(args.seed)
     outcomes = tree.sample_many(query, args.r, args.with_replacement,
@@ -144,7 +150,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    tree = BloomSampleTree.load(args.tree)
+    tree = _load_tree(args)
     query = _load_query(args, tree)
     M = tree.plan.namespace_size
     if args.algo == "bst":
@@ -161,7 +167,7 @@ def cmd_reconstruct(args) -> int:
 
 
 def cmd_chi2(args) -> int:
-    tree = BloomSampleTree.load(args.tree)
+    tree = _load_tree(args)
     query = _load_query(args, tree)
     positives, _ = baselines.da_reconstruct(tree.plan.namespace_size, query)
     if positives.size < 2:

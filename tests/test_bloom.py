@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bloomsampletree import bloom
 from bloomsampletree.bloom import BloomFilter, FamilyMismatchError, build_filter
 from bloomsampletree.estimate import fp_probability
 from bloomsampletree.hashing import FamilyKind, HashFamily, make_family, hash_value
@@ -202,3 +203,88 @@ class TestNamespaceLimit:
             BloomFilter(fam, fam.namespace_limit)
             with pytest.raises(ValueError):
                 BloomFilter(fam, fam.namespace_limit + 1)
+
+
+def _bitwise_contains(flt, x):
+    """Per-bit reference: every h_i(x) bit set in the little-endian words."""
+    return all((int(flt.words[h // 64]) >> (h % 64)) & 1
+               for h in (hash_value(flt.family, i, x) for i in range(flt.family.k)))
+
+
+class TestByteGatherMembership:
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    def test_contains_many_matches_per_bit_reference(self, kind):
+        fam = make_family(kind, 3, 1009, seed=6)  # m not a multiple of 64
+        rng = np.random.default_rng(2)
+        flt = build_filter(fam, 10**6, rng.choice(10**6, 150, replace=False))
+        xs = np.concatenate([rng.choice(10**6, 400, replace=False), [0, 10**6 - 1]])
+        got = flt.contains_many(xs)  # enough probes to gather bytes
+        assert got.tolist() == [_bitwise_contains(flt, int(x)) for x in xs]
+        assert 0 < got.sum() < xs.size
+        one_by_one = [bool(flt.contains_many(xs[i:i + 1])[0]) for i in range(xs.size)]
+        assert one_by_one == got.tolist()  # too few probes: word reads
+        full = BloomFilter(fam, 10**6, words=np.full(len(flt.words), ~np.uint64(0)))
+        assert full.contains_many(xs).all()
+        assert all(full.contains(int(x)) for x in xs[:20])
+        assert full.contains_many(np.empty(0, dtype=np.int64)).shape == (0,)
+
+    def test_unpacks_only_when_the_probes_pay(self, monkeypatch):
+        fam = make_family(FamilyKind.SIMPLE_LINEAR, 3, 1_000_003, seed=1)
+        M = 10**7
+        flt = build_filter(fam, M, range(0, M, 997))
+        unpacks = []
+        unpackbits = np.unpackbits
+        monkeypatch.setattr(np, "unpackbits",
+                            lambda *a, **kw: unpacks.append(1) or unpackbits(*a, **kw))
+        assert flt.contains(997) and not flt.contains(998)
+        small = flt.contains_many(np.arange(0, 10_000, dtype=np.int64))
+        assert not unpacks  # 3 * 10^4 probes do not pay for unpacking 10^6 bits
+        words_path = [xs[flt.contains_many(xs)]
+                      for xs in np.array_split(np.arange(10**6, dtype=np.int64), 400)]
+        assert not unpacks
+        found = flt.scan([(0, 10**6)])
+        assert len(unpacks) == 1  # 16 chunks share one unpack
+        assert np.array_equal(found, np.concatenate(words_path))
+        assert np.array_equal(found[found < 10_000], np.flatnonzero(small))
+        assert set(range(0, 10**6, 997)) <= set(found.tolist())
+
+
+class TestScan:
+    """``scan`` merges abutting ranges and probes each in chunks."""
+
+    @staticmethod
+    def _dense_filter(M=3 * bloom.SCAN_CHUNK):
+        fam = make_family(FamilyKind.MURMUR3, 3, 4001, seed=3)
+        return build_filter(fam, M, np.random.default_rng(8).choice(M, 900, replace=False))
+
+    @staticmethod
+    def _reference(flt, ranges):
+        xs = [x for lo, hi in ranges for x in range(lo, hi)]
+        xs = np.array(xs, dtype=np.int64)
+        return xs[flt.contains_many(xs)] if xs.size else xs
+
+    @pytest.mark.parametrize("ranges, calls", [
+        ([(0, 10), (10, 4000), (4000, 4001)], 1),           # abutting: one range
+        ([(0, 10), (20, 4000), (5000, 5001)], 3),           # gapped
+        ([], 0),
+        ([(7, 7), (9, 3)], 0),                               # empty ranges
+        ([(100, 200), (300, 300), (300, 400)], 2),          # an empty range between
+        ([(3 * bloom.SCAN_CHUNK - 50, 3 * bloom.SCAN_CHUNK),
+          (3 * bloom.SCAN_CHUNK + 10, 3 * bloom.SCAN_CHUNK)], 1),  # clipped padding
+        ([(bloom.SCAN_CHUNK - 100, bloom.SCAN_CHUNK + 100)], 1),   # straddles a boundary
+        ([(5, bloom.SCAN_CHUNK), (bloom.SCAN_CHUNK, 2 * bloom.SCAN_CHUNK + 6)], 3),
+    ])
+    def test_matches_reference(self, monkeypatch, ranges, calls):
+        flt = self._dense_filter()
+        want = self._reference(flt, ranges)
+        seen = []
+        contains_many = BloomFilter.contains_many
+        monkeypatch.setattr(BloomFilter, "contains_many",
+                            lambda self, xs, **kw: seen.append(len(xs))
+                            or contains_many(self, xs, **kw))
+        got = flt.scan(ranges)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        assert len(seen) == calls and max(seen, default=0) <= bloom.SCAN_CHUNK
+        assert sum(seen) == sum(max(0, hi - lo) for lo, hi in ranges)
+        if sum(seen) > 1000:
+            assert 0 < got.size < sum(seen)

@@ -1,17 +1,26 @@
 """Tests for tree planning, construction, sampling, and reconstruction."""
+import math
+import re
+
 import numpy as np
 import pytest
 
+from bloomsampletree import bloom, bst
 from bloomsampletree.bloom import BloomFilter, FamilyMismatchError, build_filter
 from bloomsampletree.bst import (
     BloomSampleTree,
+    OpCounters,
     TreePlan,
     PlanError,
     plan_from_accuracy,
     plan_with_m,
     max_leaf_capacity,
 )
-from bloomsampletree.estimate import intersection_estimate, sample_visit_bound
+from bloomsampletree.estimate import (
+    intersection_estimate,
+    intersection_estimate_counts,
+    sample_visit_bound,
+)
 from bloomsampletree.hashing import FamilyKind, make_family
 from bloomsampletree import baselines
 
@@ -458,3 +467,190 @@ class TestTreeFileValidation:
         data[4] = 1
         with pytest.raises(ValueError, match="unsupported tree version 1"):
             BloomSampleTree.from_bytes(bytes(data))
+
+
+def reference_reconstruct(tree, query, threshold):
+    """Recursive depth-first reconstruction: every present node reached gets
+    one AND, a node is pruned when its AND is empty or its estimate falls
+    below the threshold, and the surviving leaves are scanned in order."""
+    plan, counters, t1 = tree.plan, OpCounters(), query.popcount()
+
+    def visit(level, j):
+        node = tree.nodes[(level, j)]
+        counters.nodes_visited += 1
+        counters.intersections += 1
+        t_and = int(np.bitwise_count(node.words & query.words).sum())
+        if t_and == 0 or intersection_estimate_counts(
+                plan.m, plan.k, node.popcount(), t1, t_and) < threshold:
+            return []
+        if level == plan.depth:
+            counters.leaves_scanned += 1
+            lo, hi = j * plan.leaf_size, min((j + 1) * plan.leaf_size, plan.namespace_size)
+            if hi <= lo:
+                return []
+            counters.membership_queries += hi - lo
+            xs = np.arange(lo, hi, dtype=np.int64)
+            return [xs[query.contains_many(xs)]]
+        return [part for c in (2 * j, 2 * j + 1) if (level + 1, c) in tree.nodes
+                for part in visit(level + 1, c)]
+
+    parts = visit(0, 0) if (0, 0) in tree.nodes else []
+    found = np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
+    return found, counters
+
+
+def _reference_trees():
+    rng = np.random.default_rng(11)
+    M = 40_000
+    plan = plan_from_accuracy(0.9, 200, M, 3, 240.0)
+    fam = make_family(FamilyKind.SIMPLE_LINEAR, 3, plan.m, seed=2)
+    occ = rng.choice(M, 3000, replace=False)
+    yield "full", BloomSampleTree.build_full(plan, fam), occ[:150]
+    yield "pruned", BloomSampleTree.build_pruned(plan, fam, occ), occ[100:400]
+    big = 2**40
+    plan = plan_with_m(4000, big, 3, 240.0)
+    fam = make_family(FamilyKind.MURMUR3, 3, 4000, seed=0)
+    occ = rng.choice(big, 300, replace=False)
+    yield "sparse", BloomSampleTree.build_pruned(plan, fam, occ), occ[:20]
+    plan = plan_with_m(3000, 10_007, 3, 240.0)
+    assert plan.namespace_size % plan.leaf_size and plan.padded_size > plan.namespace_size
+    fam = make_family(FamilyKind.MD5, 3, 3000, seed=1)
+    yield "ragged", BloomSampleTree.build_full(plan, fam), rng.choice(10_007, 40, replace=False)
+    yield "empty", BloomSampleTree.build_pruned(plan, fam, []), [3, 10_006]
+
+
+class TestLevelWalkReconstruct:
+    @pytest.mark.parametrize("case", ["full", "pruned", "sparse", "ragged", "empty"])
+    def test_equals_recursive_reference(self, case):
+        _, tree, members = next(t for t in _reference_trees() if t[0] == case)
+        query = build_filter(tree.family, tree.plan.namespace_size, members)
+        ests = [intersection_estimate_counts(
+                    tree.plan.m, tree.plan.k, node.popcount(), query.popcount(),
+                    int(np.bitwise_count(node.words & query.words).sum()))
+                for node in tree.nodes.values()]
+        own = sorted(e for e in ests if 0 < e < math.inf)
+        thresholds = [0.0, 0.5] + own[len(own) // 2:len(own) // 2 + 1]
+        for threshold in thresholds:
+            found, counters = tree.reconstruct(query, threshold)
+            ref, ref_counters = reference_reconstruct(tree, query, threshold)
+            assert found.dtype == np.int64
+            assert np.array_equal(found, ref), (case, threshold)
+            assert counters == ref_counters, (case, threshold)
+        if case != "empty":
+            assert len(thresholds) == 3
+
+    def test_threshold_zero_full_tree_makes_one_call_per_chunk(self, monkeypatch):
+        M = 200_000
+        plan = plan_with_m(3000, M, 3, 240.0)
+        fam = make_family(FamilyKind.SIMPLE_LINEAR, 3, 3000, seed=4)
+        tree = BloomSampleTree.build_full(plan, fam)
+        query = build_filter(fam, M, np.random.default_rng(3).choice(M, 300, replace=False))
+        calls = []
+        contains_many = BloomFilter.contains_many
+
+        def counted(self, xs, **kw):
+            calls.append(len(xs))
+            return contains_many(self, xs, **kw)
+
+        monkeypatch.setattr(BloomFilter, "contains_many", counted)
+        found, counters = tree.reconstruct(query, 0.0)
+        assert counters.leaves_scanned == 1 << plan.depth >= 64
+        assert len(calls) == -(-M // bloom.SCAN_CHUNK) == 4
+        assert sum(calls) == counters.membership_queries == M
+        assert np.array_equal(found, baselines.da_reconstruct(M, query)[0])
+
+    def test_small_stack_bound_keeps_the_result(self, monkeypatch):
+        trees = list(_reference_trees())
+        stacked = []
+        stack = np.stack
+        monkeypatch.setattr(np, "stack",
+                            lambda arrays, *a, **kw: stacked.append(len(arrays))
+                            or stack(arrays, *a, **kw))
+        for case, tree, members in trees:
+            query = build_filter(tree.family, tree.plan.namespace_size, members)
+            n_words = len(query.words)
+            for rows in (1, 3):
+                monkeypatch.setattr(bst, "_STACK_BYTES", 8 * n_words * rows)
+                for threshold in (0.0, 0.5):
+                    stacked.clear()
+                    found, counters = tree.reconstruct(query, threshold)
+                    ref, ref_counters = reference_reconstruct(tree, query, threshold)
+                    assert np.array_equal(found, ref), (case, rows, threshold)
+                    assert counters == ref_counters, (case, rows, threshold)
+                    assert max(stacked, default=0) <= rows
+                    assert len(stacked) >= -(-counters.intersections // rows)
+                stacked.clear()
+                tree.verify()
+                assert max(stacked, default=0) <= rows
+
+
+class TestNanThreshold:
+    def test_every_traversal_rejects_nan(self):
+        tree, plan, fam = small_tree(M=64)
+        query = build_filter(fam, 64, [3, 40])
+        with pytest.raises(ValueError, match="NaN"):
+            tree.reconstruct(query, math.nan)
+        with pytest.raises(ValueError, match="NaN"):
+            tree.sample(query, math.nan, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError, match="NaN"):
+            tree.sample_many(query, 5, threshold=math.nan)
+
+
+class TestNodesCoverNamespace:
+    """Node filters are bounded by M, so every M the family hashes exactly builds."""
+
+    @staticmethod
+    def _plan(M):
+        fam = make_family(FamilyKind.SIMPLE_LINEAR, 3, 1000003, seed=1)
+        return plan_with_m(1000003, M, 3, 240.0), fam
+
+    def test_linear_tree_at_the_namespace_limit(self):
+        limit = make_family(FamilyKind.SIMPLE_LINEAR, 3, 1000003, seed=1).namespace_limit
+        plan, fam = self._plan(limit)
+        assert plan.padded_size > fam.namespace_limit
+        ids = [0, 5, limit - 1]
+        tree = BloomSampleTree.build_pruned(plan, fam, ids)
+        back = BloomSampleTree.from_bytes(tree.to_bytes())
+        assert back == tree
+        back.verify()
+        query = build_filter(fam, limit, ids)
+        found, _ = back.reconstruct(query, 0.0)
+        leaves = {x // plan.leaf_size for x in ids}
+        in_leaves = np.concatenate([np.arange(j * plan.leaf_size,
+                                              min((j + 1) * plan.leaf_size, limit))
+                                    for j in sorted(leaves)])
+        assert np.array_equal(found, in_leaves[query.contains_many(in_leaves)])
+        assert set(ids) <= set(found.tolist())
+
+    def test_error_names_m_one_above_the_limit(self):
+        limit = make_family(FamilyKind.SIMPLE_LINEAR, 3, 1000003, seed=1).namespace_limit
+        plan, fam = self._plan(limit + 1)
+        with pytest.raises(ValueError, match=f"namespace size {limit + 1} exceeds"):
+            BloomSampleTree.build_pruned(plan, fam, [0, 5])
+
+
+class TestVerify:
+    def test_built_trees_pass(self):
+        small_tree(M=64)[0].verify()
+        for _, tree, _ in _reference_trees():
+            tree.verify()
+        tree, plan, _ = small_tree(M=64, occupied=[1, 40])
+        for x in (2, 63, 17):
+            tree.insert(x)
+        tree.verify()
+
+    def test_flipped_bit_in_loaded_words_fails(self):
+        tree, plan, _ = small_tree(M=64, occupied=[1, 40])
+        data = tree.to_bytes()
+        keys = sorted(tree.nodes)
+        n_bytes = 8 * len(tree.nodes[(0, 0)].words)
+        blob = len(data) - n_bytes * len(keys)
+        leaf = keys[-1]
+        parent = tree.nodes[(leaf[0] - 1, leaf[1] >> 1)]
+        bit = int(parent.unset_bit_indices()[0])  # setting it breaks the parent's OR
+        for row, bit, bad in ((0, 0, (0, 0)), (len(keys) - 1, bit, (leaf[0] - 1, leaf[1] >> 1))):
+            flipped = bytearray(data)
+            flipped[blob + row * n_bytes + bit // 8] ^= 1 << (bit % 8)
+            loaded = BloomSampleTree.from_bytes(bytes(flipped))  # loading does not verify
+            with pytest.raises(ValueError, match=re.escape(str(bad))):
+                loaded.verify()

@@ -228,3 +228,33 @@ def test_build_rejects_namespace_the_linear_family_cannot_hash(capsys, tmp_path)
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["sample", "reconstruct"])
+def test_nan_threshold_exits_with_one_line_error(capsys, small_tree_file, command):
+    code = main([command, "--tree", str(small_tree_file), "--set", "5,9",
+                 "--threshold", "nan"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+class TestVerifyOnLoad:
+    @staticmethod
+    def _flip_root_bit(path):
+        tree = BloomSampleTree.load(path)
+        data = bytearray(path.read_bytes())
+        data[len(data) - 8 * len(tree.nodes[(0, 0)].words) * tree.node_count] ^= 1
+        path.write_bytes(bytes(data))
+
+    @pytest.mark.parametrize("command", ["sample", "reconstruct", "chi2"])
+    def test_flipped_bit_fails_with_one_line_error(self, capsys, small_tree_file, command):
+        argv = [command, "--tree", str(small_tree_file), "--set", "5,9"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        self._flip_root_bit(small_tree_file)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        err = captured.err
+        assert err.startswith("error: ") and "(0, 0)" in err and err.count("\n") == 1
