@@ -126,10 +126,10 @@ class BloomFilter:
         for i in range(self.family.k):
             idx = hash_many(self.family, i, xs)
             if bits is None:
-                ok &= ((self.words[idx >> 6] >> (idx.astype(np.uint64) & _LOW6))
+                ok &= ((self.words.take(idx >> 6) >> (idx.astype(np.uint64) & _LOW6))
                        & _ONE).astype(bool)
             else:
-                ok &= bits[idx]
+                ok &= bits.take(idx)
         return ok
 
     def scan(self, ranges) -> np.ndarray:

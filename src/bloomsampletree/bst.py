@@ -500,7 +500,8 @@ class BloomSampleTree:
         surviving leaves are then scanned as one list of ranges.  With
         threshold 0 pruning fires only on bit-exact empty intersections,
         which never discard a positive, so the result equals a full
-        dictionary scan of the covered namespace.
+        dictionary scan of the covered namespace; a threshold <= 0 computes
+        no estimate at all.
         """
         _check_threshold(threshold)
         self._check_query(query)
@@ -521,9 +522,10 @@ class BloomSampleTree:
                 stack = np.stack([node.words for _, node in batch])
                 np.bitwise_and(stack, query.words, out=stack)
                 t_and = np.bitwise_count(stack).sum(axis=1).tolist()
+                # an estimate is >= 0, -0.0 or inf: only a positive threshold prunes
                 frontier += [j for (j, node), t in zip(batch, t_and)
-                             if t and not intersection_estimate_counts(
-                                 plan.m, plan.k, node.popcount(), t1, t) < threshold]
+                             if t and (threshold <= 0 or not intersection_estimate_counts(
+                                 plan.m, plan.k, node.popcount(), t1, t) < threshold)]
         M, width = plan.namespace_size, plan.leaf_size
         ranges = [(j * width, min((j + 1) * width, M)) for j in frontier]
         counters.leaves_scanned = len(ranges)

@@ -60,10 +60,11 @@ class _Fenwick:
 
     def __init__(self, values: np.ndarray):
         self.n = len(values)
-        # node i covers (i - lowbit(i), i], read off the prefix sums
+        # node i covers (i - lowbit(i), i], read off the prefix sums; a list,
+        # since the per-element walks below index numpy scalars slowly
         c = np.concatenate([[0.0], np.cumsum(values, dtype=np.float64)])
         i = np.arange(1, self.n + 1)
-        self.tree = np.concatenate([[0.0], c[i] - c[i - (i & -i)]])
+        self.tree = [0.0] + (c[i] - c[i - (i & -i)]).tolist()
 
     def update(self, i: int, delta: float) -> None:
         i += 1

@@ -33,6 +33,13 @@ _INT64_MAX = (1 << 63) - 1
 # Keeps preimage's int64 product a^-1 * (s - b) below 2^62.
 _LINEAR_MAX_M = 1 << 31
 
+# Below this many elements hash_many reduces mod m with ``%``, one hardware
+# divide per element; from it on, with the multiply-shift ``_reduce``, whose
+# extra passes cost 1.5-5 us per call on one-element arrays.  The two break
+# even between 512 and 1,024 elements (linear and murmur3, 2-core x86 VM,
+# numpy 2.4); on 65,536 elements the reduction is 1.3-1.6x faster.
+_REDUCE_MIN_SIZE = 512
+
 _MIX1 = np.uint64(0xFF51AFD7ED558CCD)
 _MIX2 = np.uint64(0xC4CEB9FE1A85EC53)
 
@@ -166,17 +173,39 @@ def _md5_one(seed: int, x: int) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def _reduce(h: np.ndarray, m) -> np.ndarray:
+    """``h mod m`` in place as ``h - (h // m) * m``, for h >= 0.
+
+    numpy divides by a scalar with a multiply and a shift (libdivide), so
+    this avoids the hardware divide that ``%`` runs per element.  It is
+    exact for h >= 0: then q*m <= h, so nothing overflows and the result
+    lies in [0, m).
+    """
+    q = h // m
+    q *= m
+    h -= q
+    return h
+
+
 def hash_many(family: HashFamily, i: int, xs: np.ndarray) -> np.ndarray:
     """Vectorized ``h_i`` over an int64 array; output array in [0, m)."""
     if not 0 <= i < family.k:
         raise IndexError(f"hash function index {i} out of range [0, {family.k})")
     xs = np.asarray(xs, dtype=np.int64)
+    small = xs.size < _REDUCE_MIN_SIZE
     if family.kind == FamilyKind.SIMPLE_LINEAR:
         a, b = family.params[i]
-        return (a * xs + b) % family.m
+        if small:
+            return (a * xs + b) % family.m
+        # namespace_limit keeps a*x + b in [0, 2^63)
+        h = a * xs
+        h += b
+        return _reduce(h, family.m)
     if family.kind == FamilyKind.MURMUR3:
         h = _murmur_mix(xs, family.params[i])
-        return (h % np.uint64(family.m)).astype(np.int64)
+        if small:
+            return (h % np.uint64(family.m)).astype(np.int64)
+        return _reduce(h, np.uint64(family.m)).view(np.int64)
     seed = family.params[i]
     m = family.m
     return np.fromiter(

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bloomsampletree import bloom
+from bloomsampletree import bloom, hashing
 from bloomsampletree.bloom import BloomFilter, FamilyMismatchError, build_filter
 from bloomsampletree.estimate import fp_probability
 from bloomsampletree.hashing import FamilyKind, HashFamily, make_family, hash_value
@@ -247,6 +247,26 @@ class TestByteGatherMembership:
         assert np.array_equal(found, np.concatenate(words_path))
         assert np.array_equal(found[found < 10_000], np.flatnonzero(small))
         assert set(range(0, 10**6, 997)) <= set(found.tolist())
+
+
+class TestScanAboveReduceSize:
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    @pytest.mark.parametrize("m", [1009, 400_009])  # byte gather, word reads
+    def test_multi_chunk_scan_matches_per_bit_reference(self, monkeypatch, kind, m):
+        # chunks of at least _REDUCE_MIN_SIZE elements hash by multiply-shift
+        chunk = 2 * hashing._REDUCE_MIN_SIZE
+        monkeypatch.setattr(bloom, "SCAN_CHUNK", chunk)
+        fam = make_family(kind, 3, m, seed=12)
+        M = 10**12
+        rng = np.random.default_rng(m)
+        flt = build_filter(fam, M, np.concatenate([np.arange(0, 3 * chunk, 7),
+                                                   rng.integers(0, M, 200)]))
+        ranges = [(0, 3 * chunk + 5), (M - chunk - 3, M)]
+        assert (flt._bits_for(4 * chunk + 8) is None) == (m > 10**5)
+        got = flt.scan(ranges)
+        want = [x for lo, hi in ranges for x in range(lo, hi) if _bitwise_contains(flt, x)]
+        assert got.tolist() == want
+        assert 3 * chunk // 7 <= got.size < 4 * chunk + 8
 
 
 class TestScan:

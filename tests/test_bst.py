@@ -539,6 +539,29 @@ class TestLevelWalkReconstruct:
         if case != "empty":
             assert len(thresholds) == 3
 
+    @pytest.mark.parametrize("case", ["full", "pruned", "sparse", "ragged"])
+    def test_no_estimates_at_non_positive_thresholds(self, monkeypatch, case):
+        _, tree, members = next(t for t in _reference_trees() if t[0] == case)
+        query = build_filter(tree.family, tree.plan.namespace_size, members)
+        calls = {"tree": 0, "ref": 0}
+        real = intersection_estimate_counts
+
+        def counting(who):
+            def estimate(*args):
+                calls[who] += 1
+                return real(*args)
+            return estimate
+
+        monkeypatch.setattr(bst, "intersection_estimate_counts", counting("tree"))
+        monkeypatch.setitem(globals(), "intersection_estimate_counts", counting("ref"))
+        for threshold in (0.0, -1.0, 0.5):
+            calls.update(tree=0, ref=0)
+            found, counters = tree.reconstruct(query, threshold)
+            ref, ref_counters = reference_reconstruct(tree, query, threshold)
+            assert np.array_equal(found, ref) and counters == ref_counters
+            assert calls["ref"] > 0
+            assert calls["tree"] == (calls["ref"] if threshold > 0 else 0)
+
     def test_threshold_zero_full_tree_makes_one_call_per_chunk(self, monkeypatch):
         M = 200_000
         plan = plan_with_m(3000, M, 3, 240.0)

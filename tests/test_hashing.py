@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from bloomsampletree import hashing
 from bloomsampletree.hashing import (
     FamilyKind,
     HashFamily,
@@ -236,3 +237,46 @@ class TestExactNamespace:
                 s = hash_value(fam, i, x)
                 assert s == (a * x + b) % fam.m
                 assert x in preimage(fam, i, s, M)
+
+
+class TestMultiplyShiftReduction:
+    """From ``_REDUCE_MIN_SIZE`` elements on, hash_many reduces mod m as
+    h - (h // m) * m; below it, with ``%``.  Both must equal Python integers."""
+
+    SIZES = (hashing._REDUCE_MIN_SIZE - 1, hashing._REDUCE_MIN_SIZE, 1 << 16)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_linear_matches_python_integers_up_to_the_limit(self, n):
+        fam = make_family(FamilyKind.SIMPLE_LINEAR, 2, (1 << 31) - 1, seed=23)
+        top = fam.namespace_limit
+        rng = np.random.default_rng(n)
+        xs = np.concatenate([top - 1 - np.arange(n // 2), np.arange(64),
+                             rng.integers(0, top, size=n - n // 2 - 64)]).astype(np.int64)
+        assert xs.size == n and xs.max() == top - 1
+        for i, (a, b) in enumerate(fam.params):
+            got = hash_many(fam, i, xs)
+            assert got.dtype == np.int64
+            assert got.tolist() == [(a * x + b) % fam.m for x in xs.tolist()]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_murmur_matches_python_integers(self, n):
+        rng = np.random.default_rng(n + 1)
+        xs = np.concatenate([np.arange(n // 2),
+                             rng.integers(0, 1 << 63, size=n - n // 2, dtype=np.int64)])
+        for i in range(2):
+            mixed = None
+            for m in (60_870, (1 << 31) - 1, (1 << 40) + 15):
+                fam = make_family(FamilyKind.MURMUR3, 2, m, seed=29)
+                if mixed is None:  # the seeds do not depend on m
+                    mixed = [_murmur_reference(fam.params[i], x) for x in xs.tolist()]
+                got = hash_many(fam, i, xs)
+                assert got.dtype == np.int64
+                assert got.tolist() == [h % m for h in mixed]
+
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    def test_one_element_calls_return_int64(self, kind):
+        fam = make_family(kind, 2, 1009, seed=4)
+        for xs in (np.array([12_345], dtype=np.int64), [12_345]):
+            got = hash_many(fam, 1, xs)
+            assert got.dtype == np.int64 and got.shape == (1,)
+            assert got.tolist() == [hash_many(fam, 1, np.arange(12_345, 13_345))[0]]
