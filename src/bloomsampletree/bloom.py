@@ -27,6 +27,16 @@ _LOW6 = np.uint64(63)
 SCAN_CHUNK = 1 << 16
 
 
+def word_masks(family: HashFamily, x: int) -> dict:
+    """Word index -> mask of the bits that element ``x`` sets, as Python
+    integers; one ``hash_many`` call per hash function."""
+    masks: dict = {}
+    for i in range(family.k):
+        idx = int(hash_many(family, i, x))
+        masks[idx >> 6] = masks.get(idx >> 6, 0) | 1 << (idx & 63)
+    return masks
+
+
 class FamilyMismatchError(ValueError):
     """Raised when combining filters with different m or hash family."""
 
@@ -67,9 +77,14 @@ class BloomFilter:
     def insert(self, x: int) -> None:
         """Set the k bits of element ``x``."""
         self._check_element(x)
-        for i in range(self.family.k):
-            idx = int(hash_many(self.family, i, np.array([x], dtype=np.int64))[0])
-            self.words[idx >> 6] |= _ONE << np.uint64(idx & 63)
+        self.insert_masks(word_masks(self.family, x))
+
+    def insert_masks(self, masks: dict) -> None:
+        """Insert one element given its ``word_masks``: OR each mask into its
+        word with Python integers and count the element."""
+        words = self.words
+        for w, mask in masks.items():
+            words[w] = int(words[w]) | mask
         if self.inserted_count is not None:
             self.inserted_count += 1
         self._popcount = None
@@ -95,7 +110,11 @@ class BloomFilter:
         self._popcount = None
 
     def contains(self, x: int) -> bool:
-        return bool(self.contains_many(np.array([x], dtype=np.int64))[0])
+        """Whether all k bits of element ``x`` are set."""
+        self._check_element(x)
+        words = self.words
+        return all(int(words[w]) & mask == mask
+                   for w, mask in word_masks(self.family, x).items())
 
     def _bits_for(self, n: int) -> Optional[np.ndarray]:
         """The bits unpacked to one bool each when probing ``n`` elements
@@ -167,19 +186,6 @@ class BloomFilter:
         if self.inserted_count is not None and other.inserted_count is not None:
             out.inserted_count = self.inserted_count + other.inserted_count
         return out
-
-    def update(self, other: "BloomFilter") -> None:
-        """In-place union: set every bit that ``other`` has set.
-
-        Counts add as in ``union``; an unknown count on either side makes
-        the result unknown.
-        """
-        self._check_compatible(other)
-        self.words |= other.words
-        if self.inserted_count is not None:
-            self.inserted_count = (None if other.inserted_count is None
-                                   else self.inserted_count + other.inserted_count)
-        self._popcount = None
 
     def intersect(self, other: "BloomFilter") -> "BloomFilter":
         self._check_compatible(other)

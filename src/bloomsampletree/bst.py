@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bloom import BloomFilter, FamilyMismatchError
+from .bloom import BloomFilter, FamilyMismatchError, word_masks
 from .estimate import fp_probability, intersection_estimate_counts
 from .hashing import HashFamily
 
@@ -289,19 +289,19 @@ class BloomSampleTree:
     def insert(self, x: int) -> None:
         """Add one occupied element, creating missing path nodes.
 
-        Hashes x once into a one-element filter, then ORs that filter into
-        the leaf and each of its depth ancestors.
+        Hashes x once into its k word masks, then ORs those (at most k
+        words) into the leaf and each of its depth ancestors.
         """
         if not 0 <= x < self.plan.namespace_size:
             raise ValueError(f"element {x} outside namespace")
-        one = BloomFilter(self.family, self.plan.namespace_size)
-        one.insert(x)
-        for level in range(self.plan.depth + 1):
-            key = (level, x // (self.plan.padded_size >> level))
+        masks = word_masks(self.family, x)
+        depth, leaf = self.plan.depth, x // self.plan.leaf_size
+        for level in range(depth + 1):
+            key = (level, leaf >> (depth - level))
             node = self.nodes.get(key)
             if node is None:
                 node = self.nodes[key] = BloomFilter(self.family, self.plan.namespace_size)
-            node.update(one)
+            node.insert_masks(masks)
 
     # geometry ----------------------------------------------------------
 

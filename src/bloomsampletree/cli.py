@@ -183,8 +183,8 @@ def cmd_chi2(args) -> int:
     rng = np.random.default_rng(args.seed)
     index = {int(x): i for i, x in enumerate(positives)}
     counts = np.zeros(positives.size, dtype=np.int64)
-    for _ in range(T):
-        out = tree.sample(query, args.threshold, rng)
+    # with replacement, one batch consumes the rng exactly as T sample calls
+    for out in tree.sample_many(query, T, True, args.threshold, rng):
         if out.element is not None and out.element in index:
             counts[index[out.element]] += 1
     report = chi_squared_uniformity(counts)

@@ -40,8 +40,15 @@ _LINEAR_MAX_M = 1 << 31
 # numpy 2.4); on 65,536 elements the reduction is 1.3-1.6x faster.
 _REDUCE_MIN_SIZE = 512
 
-_MIX1 = np.uint64(0xFF51AFD7ED558CCD)
-_MIX2 = np.uint64(0xC4CEB9FE1A85EC53)
+# Below this many elements hash_many hashes the linear and murmur3 families
+# one Python integer at a time, skipping numpy's fixed cost per call (about
+# 3-5 us linear, 10-20 us for murmur3's eight array operations).  The two
+# paths break even at 6-8 elements for the linear family and 14-16 for
+# murmur3 (2-core x86 VM, numpy 2.4); the constant sits at the lower one.
+_SCALAR_MAX_SIZE = 8
+
+_MIX1 = 0xFF51AFD7ED558CCD
+_MIX2 = 0xC4CEB9FE1A85EC53
 
 
 class FamilyKind(enum.IntEnum):
@@ -161,9 +168,9 @@ def _murmur_mix(x: np.ndarray, seed: int) -> np.ndarray:
     """64-bit avalanche mix (murmur3 finalizer) of x xor seed."""
     h = x.astype(np.uint64) ^ np.uint64(seed)
     h ^= h >> np.uint64(33)
-    h *= _MIX1
+    h *= np.uint64(_MIX1)
     h ^= h >> np.uint64(33)
-    h *= _MIX2
+    h *= np.uint64(_MIX2)
     h ^= h >> np.uint64(33)
     return h
 
@@ -171,6 +178,31 @@ def _murmur_mix(x: np.ndarray, seed: int) -> np.ndarray:
 def _md5_one(seed: int, x: int) -> int:
     digest = hashlib.md5(struct.pack("<QQ", seed, x)).digest()
     return int.from_bytes(digest[:8], "little")
+
+
+def _hash_ints(family: HashFamily, i: int, xs: list) -> list:
+    """``h_i`` of Python integers, equal to the array path for every int64 x.
+
+    The linear family wraps ``a*x + b`` to int64 as numpy does, which only
+    happens for x outside ``[0, namespace_limit)``.
+    """
+    m = family.m
+    if family.kind == FamilyKind.SIMPLE_LINEAR:
+        a, b = family.params[i]
+        b += 1 << 63
+        return [(((a * x + b) & _MASK64) - (1 << 63)) % m for x in xs]
+    seed = family.params[i]
+    if family.kind == FamilyKind.MD5:
+        return [_md5_one(seed, x) % m for x in xs]
+    out = []
+    for x in xs:
+        h = (x & _MASK64) ^ seed
+        h ^= h >> 33
+        h = h * _MIX1 & _MASK64
+        h ^= h >> 33
+        h = h * _MIX2 & _MASK64
+        out.append((h ^ h >> 33) % m)
+    return out
 
 
 def _reduce(h: np.ndarray, m) -> np.ndarray:
@@ -188,10 +220,17 @@ def _reduce(h: np.ndarray, m) -> np.ndarray:
 
 
 def hash_many(family: HashFamily, i: int, xs: np.ndarray) -> np.ndarray:
-    """Vectorized ``h_i`` over an int64 array; output array in [0, m)."""
+    """Vectorized ``h_i`` over int64 input; int64 output of the same shape, in [0, m).
+
+    The md5 family, and the others below ``_SCALAR_MAX_SIZE`` elements,
+    hash one Python integer at a time; the result is the same.
+    """
     if not 0 <= i < family.k:
         raise IndexError(f"hash function index {i} out of range [0, {family.k})")
     xs = np.asarray(xs, dtype=np.int64)
+    if xs.size < _SCALAR_MAX_SIZE or family.kind == FamilyKind.MD5:
+        out = np.array(_hash_ints(family, i, xs.ravel().tolist()), dtype=np.int64)
+        return out if xs.ndim == 1 else out.reshape(xs.shape)
     small = xs.size < _REDUCE_MIN_SIZE
     if family.kind == FamilyKind.SIMPLE_LINEAR:
         a, b = family.params[i]
@@ -201,21 +240,15 @@ def hash_many(family: HashFamily, i: int, xs: np.ndarray) -> np.ndarray:
         h = a * xs
         h += b
         return _reduce(h, family.m)
-    if family.kind == FamilyKind.MURMUR3:
-        h = _murmur_mix(xs, family.params[i])
-        if small:
-            return (h % np.uint64(family.m)).astype(np.int64)
-        return _reduce(h, np.uint64(family.m)).view(np.int64)
-    seed = family.params[i]
-    m = family.m
-    return np.fromiter(
-        (_md5_one(seed, int(x)) % m for x in xs), dtype=np.int64, count=len(xs)
-    )
+    h = _murmur_mix(xs, family.params[i])
+    if small:
+        return (h % np.uint64(family.m)).astype(np.int64)
+    return _reduce(h, np.uint64(family.m)).view(np.int64)
 
 
 def hash_value(family: HashFamily, i: int, x: int) -> int:
     """Bit position of element ``x`` under hash function ``i``."""
-    return int(hash_many(family, i, np.array([x], dtype=np.int64))[0])
+    return int(hash_many(family, i, x))
 
 
 def preimage(family: HashFamily, i: int, s, namespace_size: int) -> np.ndarray:

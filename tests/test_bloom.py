@@ -45,6 +45,23 @@ class TestInsertContains:
         with pytest.raises(ValueError):
             f.insert_many([3, -1])
 
+    def test_contains_rejects_out_of_namespace(self):
+        f = build_filter(make_family(FamilyKind.MURMUR3, 3, 500, seed=1), 16, [4, 15])
+        assert f.contains(15)
+        for x in (-1, 16, 1 << 62):
+            with pytest.raises(ValueError):
+                f.contains(x)
+
+    def test_contains_rejects_beyond_the_linear_limit(self):
+        # at the limit a*x + b no longer fits int64, so hashing would wrap
+        fam = make_family(FamilyKind.SIMPLE_LINEAR, 3, (1 << 31) - 1, seed=3)
+        top = fam.namespace_limit
+        f = build_filter(fam, top, [0, top - 1])
+        assert f.contains(0) and f.contains(top - 1)
+        assert f.contains_many(np.array([0, top - 1])).tolist() == [True, True]
+        with pytest.raises(ValueError):
+            f.contains(top)
+
     def test_insert_many_equals_loop(self):
         fam = make_family(FamilyKind.MURMUR3, 3, 2000, seed=2)
         xs = np.random.default_rng(0).integers(0, 10**4, size=300)

@@ -398,6 +398,58 @@ class TestInsertHashesOnce:
             key = (level, 5 // (plan.padded_size >> level))
             assert tree.nodes[key].inserted_count == before.get(key, 0) + 1
 
+    @staticmethod
+    def _path(plan, x):
+        return [(level, x // (plan.padded_size >> level)) for level in range(plan.depth + 1)]
+
+    def test_second_insert_keeps_words_and_counts_again(self):
+        tree, plan, _ = small_tree(M=1000, m=2000, leaf_ratio=8.0, occupied=[3, 700])
+        tree.insert(5)
+        words = {key: f.words.copy() for key, f in tree.nodes.items()}
+        counts = {key: f.inserted_count for key, f in tree.nodes.items()}
+        tree.insert(5)
+        assert all(np.array_equal(f.words, words[key]) for key, f in tree.nodes.items())
+        for key, f in tree.nodes.items():
+            step = 1 if key in self._path(plan, 5) else 0
+            assert f.inserted_count == counts[key] + step
+        tree.insert(5)
+        for key in self._path(plan, 5):
+            assert tree.nodes[key].inserted_count == counts[key] + 2
+
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    def test_one_word_filter_matches_batch_build(self, kind):
+        # with m = 64 every hash lands in word 0, so the k masks merge
+        rng = np.random.default_rng(41)
+        old = rng.choice(1000, size=30, replace=False)
+        new = rng.choice(1000, size=30, replace=False)
+        tree, plan, fam = small_tree(M=1000, m=64, leaf_ratio=8.0, family_kind=kind,
+                                     occupied=old)
+        assert len(next(iter(tree.nodes.values())).words) == 1
+        for x in new:
+            tree.insert(int(x))
+        assert tree == BloomSampleTree.build_pruned(plan, fam, np.union1d(old, new))
+
+    def test_popcount_read_before_insert_is_refreshed(self):
+        tree, plan, _ = small_tree(M=1000, m=2000, leaf_ratio=8.0, occupied=[3, 700])
+        before = {key: tree.nodes[key].popcount() for key in self._path(plan, 5)}
+        tree.insert(5)
+        for key in self._path(plan, 5):
+            node = tree.nodes[key]
+            assert node.popcount() == int(np.bitwise_count(node.words).sum())
+        leaf = tree.nodes[self._path(plan, 5)[-1]]
+        assert leaf.popcount() > before[self._path(plan, 5)[-1]]
+
+    def test_loaded_nodes_keep_unknown_counts(self):
+        tree, plan, _ = small_tree(M=1000, m=2000, leaf_ratio=8.0, occupied=[3, 700])
+        loaded = BloomSampleTree.from_bytes(tree.to_bytes())
+        keys = set(loaded.nodes)
+        for x in (5, 701, 999):
+            loaded.insert(x)
+        assert all(loaded.nodes[key].inserted_count is None for key in keys)
+        # a node the inserts created counts from zero
+        created = set(loaded.nodes) - keys
+        assert created and all(loaded.nodes[key].inserted_count == 1 for key in created)
+
     def test_rejects_padding(self):
         tree, plan, _ = small_tree(M=1000, m=2000, leaf_ratio=8.0, occupied=[])
         assert plan.padded_size > plan.namespace_size

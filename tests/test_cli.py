@@ -2,9 +2,11 @@
 import numpy as np
 import pytest
 
+from bloomsampletree import baselines
 from bloomsampletree.bloom import build_filter
 from bloomsampletree.bst import BloomSampleTree
 from bloomsampletree.cli import DEFAULT_SEED, main
+from bloomsampletree.evalkit import chi_squared_uniformity
 
 
 def run_cli(capsys, *argv):
@@ -164,6 +166,30 @@ class TestChi2:
                             "--set", "5,9", "-T", 200, "--threshold", 0)
         assert code == 0
         assert "T 200" in out
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.5, 3.0])
+    @pytest.mark.parametrize("family", ["simple", "murmur3", "md5"])
+    def test_equals_seeded_sample_calls(self, capsys, tmp_path, family, threshold):
+        # T single samples from the same seed give the counts of the one batch
+        tree_file = tmp_path / "t.bstr"
+        assert main(["build", "-M", "3000", "--force-m", "600", "--cost-ratio", "8",
+                     "--family", family, "--out", str(tree_file)]) == 0
+        members = [7, *range(300, 330), 1234, 2047, 2999]
+        code, out = run_cli(capsys, "--seed", 11, "chi2", "--tree", tree_file,
+                            "--set", ",".join(map(str, members)), "-T", 300,
+                            "--threshold", threshold)
+        assert code == 0
+        lines = dict(line.split(" ", 1) for line in out.splitlines())
+        tree = BloomSampleTree.load(tree_file)
+        query = build_filter(tree.family, 3000, members)
+        positives, _ = baselines.da_reconstruct(3000, query)
+        rng = np.random.default_rng(11)
+        drawn = [tree.sample(query, threshold, rng).element for _ in range(300)]
+        counts = np.array([drawn.count(int(x)) for x in positives])
+        assert counts.sum() > 0
+        report = chi_squared_uniformity(counts)
+        assert lines["q"] == f"{report.q_statistic:.6g}"
+        assert lines["p_value"] == f"{report.p_value:.6g}"
 
     def test_single_positive_rejected(self, small_tree_file):
         with pytest.raises(SystemExit):

@@ -4,6 +4,7 @@ import pytest
 
 from bloomsampletree import hashing
 from bloomsampletree.hashing import (
+    _MASK64,
     FamilyKind,
     HashFamily,
     make_family,
@@ -184,6 +185,12 @@ def _murmur_reference(seed, x):
     return h ^ (h >> 33)
 
 
+def _md5_reference(seed, x):
+    import hashlib
+    import struct
+    return int.from_bytes(hashlib.md5(struct.pack("<QQ", seed, x)).digest()[:8], "little")
+
+
 class TestExactNamespace:
     def test_linear_overflow_namespace_rejected(self):
         # a*x overflows int64 here, so hashing would silently be wrong
@@ -280,3 +287,74 @@ class TestMultiplyShiftReduction:
             got = hash_many(fam, 1, xs)
             assert got.dtype == np.int64 and got.shape == (1,)
             assert got.tolist() == [hash_many(fam, 1, np.arange(12_345, 13_345))[0]]
+
+
+class TestScalarPath:
+    """Below ``_SCALAR_MAX_SIZE`` elements hash_many hashes Python integers;
+    its output must equal Python-integer references and the array path."""
+
+    C = hashing._SCALAR_MAX_SIZE
+    SIZES = (0, 1, C - 1, C, C + 1)
+
+    @staticmethod
+    def _array_path(monkeypatch, fam, i, xs):
+        with monkeypatch.context() as patch:
+            patch.setattr(hashing, "_SCALAR_MAX_SIZE", 0)
+            return hash_many(fam, i, xs)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_linear_at_both_ends_of_the_namespace(self, monkeypatch, n):
+        fam = make_family(FamilyKind.SIMPLE_LINEAR, 3, (1 << 31) - 1, seed=31)
+        top = fam.namespace_limit
+        xs = np.array([0, top - 1, *range(1, n - 1)][:n], dtype=np.int64)
+        for i, (a, b) in enumerate(fam.params):
+            got = hash_many(fam, i, xs)
+            assert got.dtype == np.int64 and got.shape == (n,)
+            assert got.tolist() == [(a * x + b) % fam.m for x in xs.tolist()]
+            assert got.tolist() == self._array_path(monkeypatch, fam, i, xs).tolist()
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("m", [60_870, (1 << 31) - 1, (1 << 40) + 15])
+    def test_murmur_with_top_bit_seeds(self, monkeypatch, n, m):
+        seeds = ((1 << 63) | 0x1234_5678_9ABC, _MASK64, 1 << 63)
+        fam = HashFamily(FamilyKind.MURMUR3, 3, m, seeds)
+        xs = np.array([0, (1 << 63) - 1, *range(5, 5 * n, 5)][:n], dtype=np.int64)
+        for i, seed in enumerate(seeds):
+            got = hash_many(fam, i, xs)
+            assert got.dtype == np.int64 and got.shape == (n,)
+            assert got.tolist() == [_murmur_reference(seed, x) % m for x in xs.tolist()]
+            assert got.tolist() == self._array_path(monkeypatch, fam, i, xs).tolist()
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_md5(self, n):
+        fam = make_family(FamilyKind.MD5, 2, 1009, seed=8)
+        xs = np.arange(100, 100 + n, dtype=np.int64)
+        for i, seed in enumerate(fam.params):
+            got = hash_many(fam, i, xs)
+            assert got.dtype == np.int64 and got.shape == (n,)
+            assert got.tolist() == [_md5_reference(seed, x) % 1009 for x in xs.tolist()]
+
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    def test_zero_d_and_list_inputs_keep_their_shape(self, monkeypatch, kind):
+        fam = make_family(kind, 2, 1009, seed=4)
+        inputs = (np.int64(777), 777, [777, 778], [[1, 2], [3, 4]], np.zeros((0, 3)))
+        for xs in inputs:
+            got = hash_many(fam, 1, xs)
+            assert got.dtype == np.int64 and np.shape(got) == np.shape(xs)
+            flat = np.asarray(xs, dtype=np.int64).ravel()
+            assert np.ravel(got).tolist() == hash_many(fam, 1, flat).tolist()
+            if kind != FamilyKind.MD5 and np.ndim(xs):  # 0-d input is never long
+                assert np.ravel(got).tolist() == np.ravel(
+                    self._array_path(monkeypatch, fam, 1, xs)).tolist()
+        assert hash_value(fam, 0, 777) == int(hash_many(fam, 0, [777])[0])
+
+    @pytest.mark.parametrize("kind", [FamilyKind.SIMPLE_LINEAR, FamilyKind.MURMUR3])
+    def test_wraps_like_int64_outside_the_namespace(self, monkeypatch, kind):
+        # keys beyond namespace_limit or negative hash wrongly, but the same way
+        # on both paths
+        fam = make_family(kind, 2, 60_869, seed=6)
+        lo = min(fam.namespace_limit, (1 << 63) - 1)
+        xs = np.array([-1, -(1 << 63), lo, (1 << 63) - 1], dtype=np.int64)
+        for i in range(2):
+            assert (hash_many(fam, i, xs).tolist()
+                    == self._array_path(monkeypatch, fam, i, xs).tolist())
