@@ -37,6 +37,13 @@ def word_masks(family: HashFamily, x: int) -> dict:
     return masks
 
 
+def tail_mask(m: int) -> np.uint64:
+    """Mask of the positions >= m in a filter's last word, which no element
+    sets; loaders reject words that set any of them."""
+    r = m % 64
+    return np.uint64(0 if r == 0 else (1 << 64) - (1 << r))
+
+
 class FamilyMismatchError(ValueError):
     """Raised when combining filters with different m or hash family."""
 
@@ -79,12 +86,31 @@ class BloomFilter:
         self._check_element(x)
         self.insert_masks(word_masks(self.family, x))
 
+    def _own_words(self) -> np.ndarray:
+        """The words, first copied if they are a read-only view (the nodes of
+        a loaded tree view its input bytes), so that a write reaches no one
+        else's words."""
+        if not self.words.flags.writeable:
+            self.words = self.words.copy()
+        return self.words
+
     def insert_masks(self, masks: dict) -> None:
         """Insert one element given its ``word_masks``: OR each mask into its
-        word with Python integers and count the element."""
+        word with Python integers and count the element.
+
+        A read-only view is copied on the first write, which raises before
+        it changes anything.  The try costs nothing until it raises, where
+        reading ``words.flags`` on every call cost about 4% of a tree insert.
+        """
         words = self.words
         for w, mask in masks.items():
-            words[w] = int(words[w]) | mask
+            try:
+                words[w] = int(words[w]) | mask
+            except ValueError:
+                if words.flags.writeable:
+                    raise
+                words = self._own_words()
+                words[w] = int(words[w]) | mask
         if self.inserted_count is not None:
             self.inserted_count += 1
         self._popcount = None
@@ -104,7 +130,8 @@ class BloomFilter:
         pad = len(self.words) * 8 - len(packed)
         if pad:
             packed = np.concatenate([packed, np.zeros(pad, dtype=np.uint8)])
-        self.words |= packed.view(np.uint64)
+        words = self._own_words()
+        words |= packed.view(np.uint64)
         if self.inserted_count is not None:
             self.inserted_count += int(xs.size)
         self._popcount = None
@@ -255,6 +282,8 @@ class BloomFilter:
         n_words = (m + 63) // 64
         words = np.frombuffer(data, dtype="<u8", count=n_words, offset=offset).copy()
         offset += n_words * 8
+        if words[-1] & tail_mask(m):
+            raise ValueError(f"filter block sets a bit at or past m = {m}")
         inserted = None if count == _COUNT_ABSENT else int(count)
         return cls(family, namespace_size, words=words, inserted_count=inserted), offset
 

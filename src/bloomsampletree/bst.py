@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bloom import BloomFilter, FamilyMismatchError, word_masks
+from .bloom import BloomFilter, FamilyMismatchError, tail_mask, word_masks
 from .estimate import fp_probability, intersection_estimate_counts
 from .hashing import HashFamily
 
@@ -234,6 +234,11 @@ class BloomSampleTree:
         if family.m != plan.m or family.k != plan.k:
             raise ValueError("hash family does not match the plan's (m, k)")
         family.check_namespace(plan.namespace_size)
+        if plan.leaf_size < 1:
+            raise ValueError(f"plan's leaf width {plan.leaf_size} is below 1")
+        if plan.padded_size < plan.namespace_size:
+            raise ValueError(f"plan's leaves cover [0, {plan.padded_size}), "
+                             f"not the namespace [0, {plan.namespace_size})")
         self.plan = plan
         self.family = family
         self.nodes = nodes if nodes is not None else {}
@@ -544,7 +549,15 @@ class BloomSampleTree:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BloomSampleTree":
-        """Parse a v2 tree; any malformed or truncated input raises ValueError."""
+        """Parse a v2 tree; any malformed or truncated input raises ValueError.
+
+        No words are copied: each node's words are one row of a read-only
+        view of ``data``, which the tree keeps alive, and a node copies its
+        own row on its first write (``insert``).  Input that is not
+        ``bytes`` is copied once, so later edits to it cannot reach the tree.
+        """
+        if not isinstance(data, bytes):
+            data = bytes(data)
         if data[:4] != _MAGIC:
             raise ValueError("bad magic: not a tree file")
         try:
@@ -562,7 +575,7 @@ class BloomSampleTree:
             raise ValueError("tree file size does not match its node count")
         entries = np.frombuffer(data, _INDEX_ENTRY, count, offset)
         words = np.frombuffer(data, "<u8", count * n_words, offset + entries.nbytes)
-        words = words.astype(np.uint64).reshape(count, n_words)
+        words = words.reshape(count, n_words)
         keys = list(zip(entries["level"].tolist(), entries["j"].tolist()))
         for row, (level, j) in enumerate(keys):
             if level > plan.depth or j >> level:
@@ -573,6 +586,9 @@ class BloomSampleTree:
                 raise ValueError(f"node {(level, j)} has no parent")
             tree.nodes[(level, j)] = BloomFilter(family, plan.namespace_size,
                                                  words=words[row], inserted_count=None)
+        bad = np.flatnonzero(words[:, -1] & tail_mask(plan.m))
+        if bad.size:
+            raise ValueError(f"tree node {keys[bad[0]]} sets a bit at or past m = {plan.m}")
         return tree
 
     def save(self, path) -> None:
