@@ -20,7 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .bloom import BloomFilter, FamilyMismatchError, tail_mask, word_masks
+from .bloom import (BloomFilter, FamilyMismatchError, check_query_namespace, tail_mask,
+                    word_masks)
 from .estimate import fp_probability, intersection_estimate_counts
 from .hashing import HashFamily
 
@@ -366,6 +367,7 @@ class BloomSampleTree:
     def _check_query(self, query: BloomFilter):
         if query.family != self.family:
             raise FamilyMismatchError("query filter incompatible with tree filters")
+        check_query_namespace(query, self.plan.namespace_size)
 
     def _child_estimate(self, key, ctx) -> tuple[bool, float]:
         """(is_empty, estimate) for one node; a missing node is empty at zero cost."""
@@ -545,7 +547,8 @@ class BloomSampleTree:
         return b"".join([_MAGIC, bytes([_VERSION]), self.plan.to_bytes(),
                          self.family.to_bytes(), struct.pack("<Q", len(keys)),
                          np.array(keys, dtype=_INDEX_ENTRY).tobytes(),
-                         *(self.nodes[key].words.astype("<u8").tobytes() for key in keys)])
+                         *(self.nodes[key].words.astype("<u8", copy=False).tobytes()
+                           for key in keys)])
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BloomSampleTree":
@@ -584,8 +587,10 @@ class BloomSampleTree:
                 raise ValueError("tree nodes not in ascending (level, j) order")
             if level and (level - 1, j >> 1) not in tree.nodes:
                 raise ValueError(f"node {(level, j)} has no parent")
+            # the tree has checked the namespace, and the file size fixes the row width
             tree.nodes[(level, j)] = BloomFilter(family, plan.namespace_size,
-                                                 words=words[row], inserted_count=None)
+                                                 words=words[row], inserted_count=None,
+                                                 checked=True)
         bad = np.flatnonzero(words[:, -1] & tail_mask(plan.m))
         if bad.size:
             raise ValueError(f"tree node {keys[bad[0]]} sets a bit at or past m = {plan.m}")

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from .bloom import BloomFilter, build_filter
+from .bloom import BloomFilter, build_filter, check_query_namespace
 from .bst import BloomSampleTree, plan_from_accuracy, plan_with_m, DEFAULT_THRESHOLD
 from .estimate import fp_probability, population_estimate
 from .hashing import FAMILY_NAMES, make_family
@@ -114,7 +114,9 @@ def _load_query(args, tree: BloomSampleTree) -> BloomFilter:
         return build_filter(tree.family, tree.plan.namespace_size, elements)
     if args.query is None:
         raise SystemExit("error: provide --query FILE or --set ELEMENTS")
-    return BloomFilter.load(args.query)
+    query = BloomFilter.load(args.query)
+    check_query_namespace(query, tree.plan.namespace_size)
+    return query
 
 
 def _add_query_args(p):

@@ -288,9 +288,10 @@ def measured_accuracy(samples: Iterable[int], true_set) -> float:
 def calibrate_cost_ratio(m: int, k: int, trials: int = 50, rng=None) -> float:
     """Measured ratio: cost of one m-bit intersection over one membership probe.
 
-    Times AND + popcount of random word arrays against batched membership
-    probes of a filter, both at realistic operand sizes, and returns the
-    ratio of median per-operation times.
+    Times AND + popcount of random word arrays against a leaf scan, a
+    ``scan`` of a contiguous 4,096-element range of a filter, both at
+    realistic operand sizes, and returns the ratio of median per-operation
+    times (per element scanned).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -304,14 +305,16 @@ def calibrate_cost_ratio(m: int, k: int, trials: int = 50, rng=None) -> float:
         int(np.bitwise_count(a & b).sum())
         inter_times.append(time.perf_counter_ns() - t0)
     family = make_family(FamilyKind.SIMPLE_LINEAR, k, m, seed=1)
-    flt = BloomFilter(family, m * 8)
-    flt.insert_many(rng.integers(0, m * 8, size=min(1000, m)))
-    batch = rng.integers(0, m * 8, size=4096).astype(np.int64)
+    width = 4096
+    namespace = max(m * 8, 2 * width)
+    flt = BloomFilter(family, namespace)
+    flt.insert_many(rng.integers(0, namespace, size=min(1000, m)))
+    lo = int(rng.integers(0, namespace - width))
     member_times = []
     for _ in range(trials):
         t0 = time.perf_counter_ns()
-        flt.contains_many(batch)
-        member_times.append((time.perf_counter_ns() - t0) / batch.size)
+        flt.scan([(lo, lo + width)])
+        member_times.append((time.perf_counter_ns() - t0) / width)
     ratio = float(np.median(inter_times) / max(np.median(member_times), 1e-9))
     return max(ratio, 1e-9)
 

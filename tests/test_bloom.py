@@ -315,10 +315,10 @@ class TestScan:
         flt = self._dense_filter()
         want = self._reference(flt, ranges)
         seen = []
-        contains_many = BloomFilter.contains_many
-        monkeypatch.setattr(BloomFilter, "contains_many",
+        scan_chunk = BloomFilter._scan_chunk
+        monkeypatch.setattr(BloomFilter, "_scan_chunk",
                             lambda self, xs, **kw: seen.append(len(xs))
-                            or contains_many(self, xs, **kw))
+                            or scan_chunk(self, xs, **kw))
         got = flt.scan(ranges)
         assert got.dtype == np.int64 and np.array_equal(got, want)
         assert len(seen) == calls and max(seen, default=0) <= bloom.SCAN_CHUNK

@@ -621,13 +621,13 @@ class TestLevelWalkReconstruct:
         tree = BloomSampleTree.build_full(plan, fam)
         query = build_filter(fam, M, np.random.default_rng(3).choice(M, 300, replace=False))
         calls = []
-        contains_many = BloomFilter.contains_many
+        scan_chunk = BloomFilter._scan_chunk
 
         def counted(self, xs, **kw):
             calls.append(len(xs))
-            return contains_many(self, xs, **kw)
+            return scan_chunk(self, xs, **kw)
 
-        monkeypatch.setattr(BloomFilter, "contains_many", counted)
+        monkeypatch.setattr(BloomFilter, "_scan_chunk", counted)
         found, counters = tree.reconstruct(query, 0.0)
         assert counters.leaves_scanned == 1 << plan.depth >= 64
         assert len(calls) == -(-M // bloom.SCAN_CHUNK) == 4

@@ -1,10 +1,11 @@
 """Loading trees without copying their words, and the loader's checks on the
-plan and on bits past m.
+plan, on bits past m and on a query's namespace.
 
 A loaded tree's nodes are row views of the input bytes; a node copies its
 own words on its first write, so the input is never written.
 """
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from bloomsampletree.bloom import BloomFilter, build_filter, tail_mask
 from bloomsampletree.bst import BloomSampleTree, TreePlan, plan_from_accuracy, plan_with_m
 from bloomsampletree.cli import main
-from bloomsampletree.hashing import FamilyKind, make_family
+from bloomsampletree.hashing import FamilyKind, HashFamily, make_family
 
 M = 50_000
 OCCUPIED = np.arange(1_000, 4_000)
@@ -298,3 +299,59 @@ class TestCliErrors:
         err = _one_line_error(capsys, [command, "--tree", str(m200_tree_file),
                                        "--query", str(query)])
         assert "past m = 200" in err
+
+
+def _copying_writer(tree) -> bytes:
+    """The v2 writer as it was, copying each node's words with ``astype``."""
+    keys = sorted(tree.nodes)
+    return b"".join([b"BSTR", bytes([2]), tree.plan.to_bytes(), tree.family.to_bytes(),
+                     struct.pack("<Q", len(keys)),
+                     np.array(keys, dtype=[("level", "u1"), ("j", "<u8")]).tobytes(),
+                     *(tree.nodes[key].words.astype("<u8").tobytes() for key in keys)])
+
+
+class TestWriterAndLoaderCost:
+    @pytest.mark.parametrize("kind", FAMILIES)
+    def test_writer_output_unchanged(self, kind):
+        built = _built(kind)
+        loaded = BloomSampleTree.from_bytes(built.to_bytes())
+        loaded.insert(40_000)  # one written path, the rest read-only views
+        for tree in (built, loaded, BloomSampleTree.from_bytes(loaded.to_bytes())):
+            assert tree.to_bytes() == _copying_writer(tree)
+
+    def test_loader_checks_the_namespace_once_per_tree(self, monkeypatch):
+        data = _built().to_bytes()
+        checks = []
+        check = HashFamily.check_namespace
+        monkeypatch.setattr(HashFamily, "check_namespace",
+                            lambda self, n: checks.append(n) or check(self, n))
+        tree = BloomSampleTree.from_bytes(data)
+        assert checks == [M] and tree.node_count > 1
+        assert tree == _built()
+
+
+class TestQueryNamespace:
+    @pytest.mark.parametrize("query_size", [M // 2, M + 1, 2 * M])
+    def test_library_rejects_another_namespace(self, query_size):
+        tree = _built()
+        query = build_filter(tree.family, query_size, [1_500, 2_500])
+        for call in (lambda: tree.sample(query), lambda: tree.sample_many(query, 3),
+                     lambda: tree.reconstruct(query, 0.0), lambda: tree.reconstruct(query)):
+            with pytest.raises(ValueError, match=f"query filter is over \\[0, {query_size}\\)"):
+                call()
+        same = build_filter(tree.family, M, [1_500, 2_500])
+        assert {1_500, 2_500} <= set(tree.reconstruct(same, 0.0)[0].tolist())
+
+    @pytest.mark.parametrize("command", [["reconstruct", "--algo", "bst"],
+                                         ["reconstruct", "--algo", "da"],
+                                         ["reconstruct", "--algo", "hi"],
+                                         ["sample"], ["chi2"]])
+    @pytest.mark.parametrize("query_size", [2048, 8192])
+    def test_cli_rejects_another_namespace(self, capsys, m200_tree_file, tmp_path,
+                                           command, query_size):
+        tree = BloomSampleTree.load(m200_tree_file)
+        query = tmp_path / "q.bflt"
+        build_filter(tree.family, query_size, [5, 9, 700]).save(query)
+        err = _one_line_error(capsys, [*command, "--tree", str(m200_tree_file),
+                                       "--query", str(query)])
+        assert f"query filter is over [0, {query_size}), not the namespace [0, 4096)" in err

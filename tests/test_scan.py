@@ -1,0 +1,99 @@
+"""``BloomFilter.scan`` probes with an early exit: h_i is hashed only for the
+elements that passed h_0 ... h_{i-1}, while ``contains_many`` still hashes
+every element k times.  Both must equal a per-bit reference."""
+import numpy as np
+import pytest
+
+from bloomsampletree import bloom, hashing
+from bloomsampletree.bloom import BloomFilter, build_filter
+from bloomsampletree.evalkit import calibrate_cost_ratio
+from bloomsampletree.hashing import FamilyKind, hash_value, make_family
+
+FAMILIES = list(FamilyKind)
+
+
+def _reference(flt, ranges) -> list:
+    """Per-bit reference: every h_i(x) bit set in the little-endian words."""
+    k = flt.family.k
+    return [x for lo, hi in ranges for x in range(lo, hi)
+            if all((int(flt.words[h >> 6]) >> (h & 63)) & 1
+                   for h in (hash_value(flt.family, i, x) for i in range(k)))]
+
+
+@pytest.fixture
+def hashed(monkeypatch):
+    """Sizes of the ``hash_many`` calls made by ``bloom``."""
+    sizes = []
+    hash_many = bloom.hash_many
+    monkeypatch.setattr(bloom, "hash_many",
+                        lambda family, i, xs: sizes.append(np.size(xs))
+                        or hash_many(family, i, xs))
+    return sizes
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+class TestScanMatchesReference:
+    M = 20_000
+    RANGES = [(0, 700), (700, 1500), (5000, 5003), (M - 900, M)]
+
+    def test_empty_filter_stops_after_h0(self, kind, hashed):
+        flt = BloomFilter(make_family(kind, 3, 1009, seed=4), self.M)
+        n = sum(hi - lo for lo, hi in self.RANGES)
+        assert flt.scan(self.RANGES).tolist() == _reference(flt, self.RANGES) == []
+        assert sum(hashed) == n and len(hashed) == 3  # h_0 of each merged range only
+
+    def test_all_ones_filter_never_exits(self, kind, hashed):
+        fam = make_family(kind, 3, 1009, seed=4)
+        flt = BloomFilter(fam, self.M, words=np.full(16, ~np.uint64(0)))
+        n = sum(hi - lo for lo, hi in self.RANGES)
+        got = flt.scan(self.RANGES)
+        assert got.tolist() == _reference(flt, self.RANGES)
+        assert got.size == n and sum(hashed) == 3 * n
+
+    def test_survivors_below_the_scalar_size(self, kind, hashed):
+        fam = make_family(kind, 3, 1009, seed=5)
+        rng = np.random.default_rng(kind)
+        flt = build_filter(fam, self.M, rng.choice(self.M, 60, replace=False))
+        ranges = [(lo, lo + 40) for lo in range(0, self.M, 400)]
+        hashed.clear()
+        got = flt.scan(ranges)
+        assert got.tolist() == _reference(flt, ranges)
+        # 40 elements at a density of about 0.16 leave a few after h_0
+        assert any(0 < size < hashing._SCALAR_MAX_SIZE for size in hashed)
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_scan_hashes_about_one_element_per_probe(kind, hashed):
+    M = 2 * bloom.SCAN_CHUNK + 123
+    fam = make_family(kind, 3, 60_000, seed=7)
+    flt = build_filter(fam, M, np.random.default_rng(7).choice(M, 1000, replace=False))
+    d = flt.popcount() / flt.m
+    assert d <= 0.1
+    hashed.clear()
+    found = flt.scan([(0, M)])
+    assert M <= sum(hashed) <= M * (1 + 2 * d)
+    assert np.array_equal(found, np.flatnonzero(flt.contains_many(np.arange(M))))
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_contains_many_hashes_k_per_element(kind, hashed):
+    fam = make_family(kind, 3, 60_000, seed=7)
+    flt = build_filter(fam, 10**6, np.random.default_rng(8).choice(10**6, 1000, replace=False))
+    xs = np.random.default_rng(9).integers(0, 10**6, 5000)
+    hashed.clear()
+    hit = flt.contains_many(xs)
+    assert sum(hashed) == 3 * xs.size and len(hashed) == 3
+    assert hit.shape == xs.shape and 0 < hit.sum() < xs.size
+
+
+def test_calibration_times_leaf_scans(monkeypatch):
+    widths = []
+    scan = BloomFilter.scan
+    monkeypatch.setattr(BloomFilter, "scan",
+                        lambda self, ranges: widths.extend(hi - lo for lo, hi in ranges)
+                        or scan(self, ranges))
+    monkeypatch.setattr(BloomFilter, "contains_many", None)
+    for m in (10**4, 30):
+        widths.clear()
+        assert calibrate_cost_ratio(m, 3, trials=5, rng=np.random.default_rng(1)) > 0
+        assert widths == [4096] * 5
