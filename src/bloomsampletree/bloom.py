@@ -7,6 +7,7 @@ share the same (m, hash family) pair.
 """
 from __future__ import annotations
 
+import operator
 import struct
 from typing import Iterable, Optional
 
@@ -14,7 +15,7 @@ import numpy as np
 
 from .hashing import HashFamily, hash_many
 
-__all__ = ["BloomFilter", "FamilyMismatchError", "check_query_namespace"]
+__all__ = ["BloomFilter", "FamilyMismatchError", "as_elements", "check_query_namespace"]
 
 _MAGIC = b"BFLT"
 _VERSION = 1
@@ -25,6 +26,76 @@ _LOW6 = np.uint64(63)
 # Elements per membership call in ``scan``; one call over 10^6 elements
 # measured slower than chunks of this size.
 SCAN_CHUNK = 1 << 16
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def _exact_int(v) -> int:
+    if isinstance(v, (float, np.floating)):
+        if not float(v).is_integer():
+            raise ValueError(f"element {v!r} is not an integer")
+        return int(v)
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"element {v!r} is not an integer") from None
+
+
+def as_elements(values) -> np.ndarray:
+    """``values`` as a 1-D int64 array of elements.
+
+    Raises ValueError for a value that is not an integer or that int64
+    cannot hold, where ``np.asarray(values, dtype=np.int64)`` would
+    truncate the first and raise OverflowError for the second.  Input that
+    numpy does not read as integers is checked one value at a time, since a
+    list of integers and floats reads as floats, which round large integers.
+    """
+    if not isinstance(values, np.ndarray):
+        values = list(values)
+    arr = np.asarray(values)
+    kind = arr.dtype.kind
+    if kind == "u" and arr.size and arr.max() > _INT64_MAX:
+        raise ValueError(f"element {arr.max()} is outside int64")
+    if kind not in "biu":
+        items = values if isinstance(values, list) else arr.ravel().tolist()
+        ints = [_exact_int(v) for v in items]
+        bad = [x for x in ints if not _INT64_MIN <= x <= _INT64_MAX]
+        if bad:
+            raise ValueError(f"element {bad[0]} is outside int64")
+        arr = np.array(ints, dtype=np.int64)
+    return arr.astype(np.int64, copy=False).ravel()
+
+
+def filter_rows(family: HashFamily, arrays: list,
+                bitmap: Optional[np.ndarray] = None) -> np.ndarray:
+    """Words of one filter per int64 element array: row r of the returned
+    ``(len(arrays), words)`` uint64 matrix sets the k bits of every element
+    of ``arrays[r]``.
+
+    One ``hash_many`` call per hash function covers all the arrays: each
+    element's bit index is offset into its array's row of a bool bitmap
+    with one row of ``64 * words`` entries per array, and one ``packbits``
+    packs the rows, padding included.  ``bitmap``, if given, is a reused
+    scratch buffer of at least that many entries.
+    """
+    n_words = (family.m + 63) // 64
+    row_bits = 64 * n_words
+    size = len(arrays) * row_bits
+    if bitmap is None:
+        bitmap = np.zeros(size, dtype=bool)
+    else:
+        bitmap = bitmap[:size]
+        bitmap.fill(False)
+    if len(arrays) == 1:
+        xs, offsets = arrays[0], None
+    else:
+        xs = np.concatenate(arrays)
+        offsets = np.repeat(np.arange(0, size, row_bits), [a.size for a in arrays])
+    for i in range(family.k):
+        idx = hash_many(family, i, xs)
+        if offsets is not None:
+            idx += offsets
+        bitmap[idx] = True
+    return np.packbits(bitmap, bitorder="little").view(np.uint64).reshape(-1, n_words)
 
 
 def word_masks(family: HashFamily, x: int) -> dict:
@@ -131,22 +202,19 @@ class BloomFilter:
         self._popcount = None
 
     def insert_many(self, xs: Iterable[int]) -> None:
-        """Bulk insert; equivalent to inserting each element in turn."""
-        xs = np.asarray(list(xs) if not isinstance(xs, np.ndarray) else xs,
-                        dtype=np.int64)
+        """Bulk insert; equivalent to inserting each element in turn.
+
+        The one-array case of ``filter_rows``, ORed into ``words``; the
+        elements pass through ``as_elements``, so a value int64 cannot hold
+        exactly raises ValueError.
+        """
+        xs = as_elements(xs)
         if xs.size == 0:
             return
         if xs.min() < 0 or xs.max() >= self.namespace_size:
             raise ValueError("element outside declared namespace")
-        mask = np.zeros(self.m, dtype=bool)
-        for i in range(self.family.k):
-            mask[hash_many(self.family, i, xs)] = True
-        packed = np.packbits(mask, bitorder="little")
-        pad = len(self.words) * 8 - len(packed)
-        if pad:
-            packed = np.concatenate([packed, np.zeros(pad, dtype=np.uint8)])
         words = self._own_words()
-        words |= packed.view(np.uint64)
+        words |= filter_rows(self.family, [xs])[0]
         if self.inserted_count is not None:
             self.inserted_count += int(xs.size)
         self._popcount = None

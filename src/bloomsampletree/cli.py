@@ -76,14 +76,14 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def _read_occupied(path) -> np.ndarray:
+def _read_occupied(path) -> list:
     values = []
     with open(path) as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if line:
                 values.append(int(line))
-    return np.asarray(values, dtype=np.int64)
+    return values
 
 
 def cmd_build(args) -> int:
