@@ -163,13 +163,16 @@ class BloomFilter:
     def m(self) -> int:
         return self.family.m
 
-    def _check_element(self, x: int):
+    def _check_element(self, x) -> int:
+        """``x`` as an int, by the rule of ``as_elements``, inside [0, M)."""
+        x = _exact_int(x)
         if not 0 <= x < self.namespace_size:
             raise ValueError(f"element {x} outside namespace [0, {self.namespace_size})")
+        return x
 
     def insert(self, x: int) -> None:
         """Set the k bits of element ``x``."""
-        self._check_element(x)
+        x = self._check_element(x)
         self.insert_masks(word_masks(self.family, x))
 
     def _own_words(self) -> np.ndarray:
@@ -221,7 +224,7 @@ class BloomFilter:
 
     def contains(self, x: int) -> bool:
         """Whether all k bits of element ``x`` are set."""
-        self._check_element(x)
+        x = self._check_element(x)
         words = self.words
         return all(int(words[w]) & mask == mask
                    for w, mask in word_masks(self.family, x).items())

@@ -21,8 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .bloom import (BloomFilter, FamilyMismatchError, as_elements, check_query_namespace,
-                    filter_rows, tail_mask, word_masks)
+from .bloom import (BloomFilter, FamilyMismatchError, _exact_int, as_elements,
+                    check_query_namespace, filter_rows, tail_mask, word_masks)
 from .estimate import fp_probability, intersection_estimate_counts
 from .hashing import HashFamily
 
@@ -203,31 +203,13 @@ def plan_with_m(m: int, namespace_size: int, k: int, cost_ratio: float,
     return TreePlan(namespace_size, m, k, depth, leaf, accuracy_target, cost_ratio)
 
 
-def _check_threshold(threshold: float) -> None:
+def _check_threshold(threshold: float) -> float:
+    """The threshold the traversals prune with: NaN raises, and a negative
+    threshold acts as 0, since no estimate is negative."""
     # every pruning test is `estimate < threshold`, which NaN never satisfies
     if math.isnan(threshold):
         raise ValueError("threshold must be a number, not NaN")
-
-
-class _TraversalCtx:
-    """Per-call state shared across the recursive descent."""
-
-    __slots__ = ("query", "t1", "threshold", "rng", "counters",
-                 "leaf_cache", "used", "blocked", "est_cache")
-
-    def __init__(self, query, t1, threshold, rng, counters, leaf_cache, used,
-                 est_cache=None):
-        self.query = query
-        self.t1 = t1
-        self.threshold = threshold
-        self.rng = rng
-        self.counters = counters
-        self.leaf_cache = leaf_cache    # (level, idx) -> hit array
-        self.used = used                # None, or (level, idx) -> set of taken hits
-        self.blocked = False            # a leaf had hits but all were taken
-        # (level, idx) -> (is_empty, estimate); valid because the query is
-        # fixed for the lifetime of the context
-        self.est_cache = {} if est_cache is None else est_cache
+    return max(threshold, 0.0)
 
 
 class BloomSampleTree:
@@ -326,8 +308,11 @@ class BloomSampleTree:
         """Add one occupied element, creating missing path nodes.
 
         Hashes x once into its k word masks, then ORs those (at most k
-        words) into the leaf and each of its depth ancestors.
+        words) into the leaf and each of its depth ancestors.  ``x`` is
+        checked by the rule of ``as_elements``, so 2.0 is 2 and 2.5 raises
+        ValueError.
         """
+        x = _exact_int(x)
         if not 0 <= x < self.plan.namespace_size:
             raise ValueError(f"element {x} outside namespace")
         masks = word_masks(self.family, x)
@@ -399,38 +384,6 @@ class BloomSampleTree:
             raise FamilyMismatchError("query filter incompatible with tree filters")
         check_query_namespace(query, self.plan.namespace_size)
 
-    def _child_estimate(self, key, ctx) -> tuple[bool, float]:
-        """(is_empty, estimate) for one node; a missing node is empty at zero cost."""
-        cached = ctx.est_cache.get(key)
-        if cached is not None:
-            return cached
-        node = self.nodes.get(key)
-        if node is None:
-            result = (True, 0.0)
-        else:
-            ctx.counters.intersections += 1
-            t_and = int(np.bitwise_count(node.words & ctx.query.words).sum())
-            if t_and == 0:
-                result = (True, 0.0)
-            else:
-                est = intersection_estimate_counts(self.plan.m, self.plan.k,
-                                                   node.popcount(), ctx.t1, t_and)
-                result = (est < ctx.threshold, est)
-        ctx.est_cache[key] = result
-        return result
-
-    def _scan_leaf(self, key, ctx) -> np.ndarray:
-        """Membership-test every namespace element of the leaf range."""
-        hits = ctx.leaf_cache.get(key)
-        if hits is None:
-            lo, hi = self.node_range(*key)
-            hi = min(hi, self.plan.namespace_size)
-            hits = ctx.query.scan([(lo, hi)])
-            ctx.counters.membership_queries += max(0, hi - lo)
-            ctx.counters.leaves_scanned += 1
-            ctx.leaf_cache[key] = hits
-        return hits
-
     @staticmethod
     def _left_probability(est_l: float, est_r: float) -> float:
         if math.isinf(est_l) and math.isinf(est_r):
@@ -440,43 +393,6 @@ class BloomSampleTree:
         if math.isinf(est_r):
             return 0.0
         return est_l / (est_l + est_r)
-
-    def _sample_node(self, key, ctx) -> Optional[int]:
-        ctx.counters.nodes_visited += 1
-        level, j = key
-        if level == self.plan.depth:
-            hits = self._scan_leaf(key, ctx)
-            if hits.size == 0:
-                return None
-            if ctx.used is not None:
-                taken = ctx.used.setdefault(key, set())
-                avail = hits[~np.isin(hits, list(taken))] if taken else hits
-                if avail.size == 0:
-                    ctx.blocked = True
-                    return None
-                el = int(avail[ctx.rng.integers(avail.size)])
-                taken.add(el)
-                return el
-            return int(hits[ctx.rng.integers(hits.size)])
-        lkey, rkey = (level + 1, 2 * j), (level + 1, 2 * j + 1)
-        l_empty, est_l = self._child_estimate(lkey, ctx)
-        r_empty, est_r = self._child_estimate(rkey, ctx)
-        if l_empty and r_empty:
-            return None
-        if r_empty:
-            return self._sample_node(lkey, ctx)
-        if l_empty:
-            return self._sample_node(rkey, ctx)
-        if est_l == est_r == ctx.threshold:
-            first, second = lkey, rkey  # deterministic tie-break aids replay
-        elif ctx.rng.random() < self._left_probability(est_l, est_r):
-            first, second = lkey, rkey
-        else:
-            first, second = rkey, lkey
-        result = self._sample_node(first, ctx)
-        if result is None:
-            result = self._sample_node(second, ctx)
-        return result
 
     # public query API --------------------------------------------------
 
@@ -495,34 +411,88 @@ class BloomSampleTree:
 
     def sample_many(self, query: BloomFilter, r: int, with_replacement: bool = True,
                     threshold: float = DEFAULT_THRESHOLD, rng=None) -> list[SampleOutcome]:
-        """Draw r elements in one batch, sharing leaf scans between paths.
+        """Draw r elements in one batch, sharing estimates and leaf scans
+        between paths.
 
-        Each path consumes the same biased coins as ``sample`` would, so
-        the marginal distribution per returned element is unchanged; for
-        r=1 and a shared seed the outcome is bitwise identical to
-        ``sample``.  Without replacement, paths that find every reachable
-        positive already taken are dropped, so the list may be short.
+        Each path is one depth-first descent over a stack of ``(level, j)``
+        keys.  A child is pruned when it is absent, its AND with the query
+        is empty, or its estimate is below ``threshold``.  Where both
+        children survive, one coin picks the first in proportion to the
+        estimates (left, with no coin, on an exact tie at the threshold),
+        and the second is pushed under it, so a dead end backtracks into
+        the sibling.  A leaf yields a uniform pick among its positives.
+        Each child estimate and leaf scan is computed once per call, and
+        counted in the counters of the path that computed it.  Without
+        replacement, paths that find every reachable positive already taken
+        are dropped, so the list may be short.
         """
         if r < 1:
             raise ValueError("r must be >= 1")
-        _check_threshold(threshold)
+        threshold = _check_threshold(threshold)
         self._check_query(query)
         rng = np.random.default_rng() if rng is None else rng
-        t1 = query.popcount()
-        leaf_cache: dict = {}
-        est_cache: dict = {}
-        used: Optional[dict] = None if with_replacement else {}
+        nodes, plan, t1 = self.nodes, self.plan, query.popcount()
+        depth, width, M = plan.depth, plan.leaf_size, plan.namespace_size
+        hits_of: dict = {}  # leaf j -> membership-positive elements of its range
+        ests: dict = {}     # (level, j) -> its children's estimates, None if pruned
+        used: Optional[dict] = None if with_replacement else {}  # leaf j -> taken hits
+
+        def estimate(key) -> Optional[float]:
+            """The child's estimate, None if pruned; one intersection if present."""
+            node = nodes.get(key)
+            if node is None:
+                return None
+            counters.intersections += 1
+            t_and = int(np.bitwise_count(node.words & query.words).sum())
+            if not t_and:
+                return None
+            est = intersection_estimate_counts(plan.m, plan.k, node.popcount(), t1, t_and)
+            return None if est < threshold else est
+
         outcomes = []
         for _ in range(r):
-            ctx = _TraversalCtx(query, t1, threshold, rng, OpCounters(),
-                                leaf_cache, used, est_cache)
-            if (0, 0) not in self.nodes:
-                outcomes.append(SampleOutcome(None, ctx.counters))
-                continue
-            element = self._sample_node((0, 0), ctx)
-            if element is None and ctx.blocked and not with_replacement:
-                continue  # pool exhausted: short list
-            outcomes.append(SampleOutcome(element, ctx.counters))
+            counters, element, blocked = OpCounters(), None, False
+            stack = [(0, 0)] if (0, 0) in nodes else []
+            while stack:
+                key = stack.pop()
+                counters.nodes_visited += 1
+                level, j = key
+                if level == depth:
+                    hits = hits_of.get(j)
+                    if hits is None:
+                        lo, hi = j * width, min((j + 1) * width, M)
+                        hits = hits_of[j] = query.scan([(lo, hi)])
+                        counters.membership_queries += max(0, hi - lo)
+                        counters.leaves_scanned += 1
+                    if used is not None and hits.size:
+                        taken = used.setdefault(j, set())
+                        if taken:
+                            hits = hits[~np.isin(hits, list(taken))]
+                            blocked = blocked or not hits.size
+                    if hits.size:
+                        element = int(hits[rng.integers(hits.size)])
+                        if used is not None:
+                            taken.add(element)
+                        break
+                    continue
+                left, right = (level + 1, 2 * j), (level + 1, 2 * j + 1)
+                pair = ests.get(key)
+                if pair is None:
+                    pair = ests[key] = (estimate(left), estimate(right))
+                est_l, est_r = pair
+                if est_r is None:
+                    if est_l is not None:
+                        stack.append(left)
+                elif est_l is None:
+                    stack.append(right)
+                elif est_l == est_r == threshold or rng.random() < self._left_probability(
+                        est_l, est_r):
+                    stack += right, left
+                else:
+                    stack += left, right
+            if element is None and blocked:
+                continue  # without replacement, every reachable positive is taken
+            outcomes.append(SampleOutcome(element, counters))
         return outcomes
 
     def reconstruct(self, query: BloomFilter,
@@ -540,7 +510,7 @@ class BloomSampleTree:
         dictionary scan of the covered namespace; a threshold <= 0 computes
         no estimate at all.
         """
-        _check_threshold(threshold)
+        threshold = _check_threshold(threshold)
         self._check_query(query)
         counters = OpCounters()
         plan, t1 = self.plan, query.popcount()

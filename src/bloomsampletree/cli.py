@@ -179,6 +179,9 @@ def cmd_chi2(args) -> int:
     else:
         if args.set is not None:
             n = len([v for v in args.set.split(",") if v.strip()])
+        elif query.popcount() == query.m:
+            raise ValueError("the query filter is saturated, so its population "
+                             "cannot be estimated; give the rounds with -T")
         else:
             n = max(2, round(population_estimate(query)))
         T = 130 * n

@@ -343,7 +343,7 @@ class SweepConfig:
 
     @classmethod
     def parse(cls, text: str) -> "SweepConfig":
-        """Read the plain-text key/value format (see docs/README)."""
+        """Read the plain-text key/value format shown in README.md's CLI quick start."""
         cfg = cls()
         version = None
         for raw in text.splitlines():
@@ -423,7 +423,8 @@ def run_sweep(config: SweepConfig, progress=None) -> list[BenchRecord]:
 
     Deterministic for a fixed config: cell index i uses a generator
     seeded with master_seed xor i, and trees are cached per
-    (M, accuracy, family) so repeated cells share one build.
+    (M, n, accuracy, family), the inputs of their plan and family, so
+    repeated cells share one build.
     """
     records = []
     tree_cache: dict = {}

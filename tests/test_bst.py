@@ -729,3 +729,176 @@ class TestVerify:
             loaded = BloomSampleTree.from_bytes(bytes(flipped))  # loading does not verify
             with pytest.raises(ValueError, match=re.escape(str(bad))):
                 loaded.verify()
+
+
+
+def reference_sample_many(tree, query, r, with_replacement=True,
+                          threshold=bst.DEFAULT_THRESHOLD, rng=None):
+    """Recursive depth-first sampler: at a node both of whose children
+    survive, one coin picks the first (left on an exact tie at the
+    threshold), and a dead end backtracks into the second.  A child is
+    pruned when it is absent, its AND is empty or its estimate is below the
+    threshold.  Child estimates and leaf scans are shared by the r paths and
+    counted by the path that computes them."""
+    plan, t1 = tree.plan, query.popcount()
+    est_cache, leaf_cache = {}, {}
+    used = None if with_replacement else {}
+
+    def child_estimate(key, counters):
+        if key not in est_cache:
+            node = tree.nodes.get(key)
+            if node is None:
+                est_cache[key] = (True, 0.0)
+            else:
+                counters.intersections += 1
+                t_and = int(np.bitwise_count(node.words & query.words).sum())
+                if t_and == 0:
+                    est_cache[key] = (True, 0.0)
+                else:
+                    est = intersection_estimate_counts(plan.m, plan.k, node.popcount(),
+                                                       t1, t_and)
+                    est_cache[key] = (est < threshold, est)
+        return est_cache[key]
+
+    def left_probability(est_l, est_r):
+        if math.isinf(est_l) and math.isinf(est_r):
+            return 0.5
+        if math.isinf(est_l):
+            return 1.0
+        if math.isinf(est_r):
+            return 0.0
+        return est_l / (est_l + est_r)
+
+    def visit(key, path):
+        counters = path["counters"]
+        counters.nodes_visited += 1
+        level, j = key
+        if level == plan.depth:
+            if key not in leaf_cache:
+                lo, hi = tree.node_range(level, j)
+                xs = np.arange(lo, min(hi, plan.namespace_size), dtype=np.int64)
+                leaf_cache[key] = xs[query.contains_many(xs)]
+                counters.membership_queries += xs.size
+                counters.leaves_scanned += 1
+            hits = leaf_cache[key]
+            if hits.size == 0:
+                return None
+            if used is None:
+                return int(hits[rng.integers(hits.size)])
+            taken = used.setdefault(key, set())
+            avail = hits[~np.isin(hits, list(taken))] if taken else hits
+            if avail.size == 0:
+                path["blocked"] = True
+                return None
+            element = int(avail[rng.integers(avail.size)])
+            taken.add(element)
+            return element
+        lkey, rkey = (level + 1, 2 * j), (level + 1, 2 * j + 1)
+        l_empty, est_l = child_estimate(lkey, counters)
+        r_empty, est_r = child_estimate(rkey, counters)
+        if l_empty and r_empty:
+            return None
+        if r_empty:
+            return visit(lkey, path)
+        if l_empty:
+            return visit(rkey, path)
+        if est_l == est_r == threshold:
+            first, second = lkey, rkey
+        elif rng.random() < left_probability(est_l, est_r):
+            first, second = lkey, rkey
+        else:
+            first, second = rkey, lkey
+        found = visit(first, path)
+        return visit(second, path) if found is None else found
+
+    outcomes = []
+    for _ in range(r):
+        path = {"counters": OpCounters(), "blocked": False}
+        element = visit((0, 0), path) if (0, 0) in tree.nodes else None
+        if element is None and path["blocked"]:
+            continue
+        outcomes.append(bst.SampleOutcome(element, path["counters"]))
+    return outcomes
+
+
+def _sampler_trees():
+    """``_reference_trees`` plus a full tree of the other two families, and a
+    tree whose two level-1 estimates are equal."""
+    yield from _reference_trees()
+    plan = plan_from_accuracy(0.9, 200, 40_000, 3, 240.0)
+    members = np.random.default_rng(12).choice(40_000, 150, replace=False)
+    for kind in (FamilyKind.MURMUR3, FamilyKind.MD5):
+        fam = make_family(kind, 3, plan.m, seed=3)
+        yield f"full-{kind.name}", BloomSampleTree.build_full(plan, fam), members
+    tree, _, _ = small_tree(M=8, m=4096, leaf_ratio=2.0)
+    yield "tie", tree, [0, 4]
+
+
+def _thresholds(tree, query):
+    """0, 0.5, 2 and the median positive finite estimate of a node."""
+    ests = sorted(e for e in (
+        intersection_estimate_counts(tree.plan.m, tree.plan.k, node.popcount(),
+                                     query.popcount(),
+                                     int(np.bitwise_count(node.words & query.words).sum()))
+        for node in tree.nodes.values()) if 0 < e < math.inf)
+    return [0.0, 0.5, 2.0] + ests[len(ests) // 2:len(ests) // 2 + 1]
+
+
+class TestIterativeSampler:
+    @pytest.mark.parametrize("case", ["full", "pruned", "sparse", "ragged", "empty",
+                                      "full-MURMUR3", "full-MD5", "tie"])
+    def test_equals_recursive_reference(self, case):
+        _, tree, members = next(t for t in _sampler_trees() if t[0] == case)
+        query = build_filter(tree.family, tree.plan.namespace_size, members)
+        thresholds = _thresholds(tree, query)
+        assert len(thresholds) == (3 if case == "empty" else 4)
+        if case == "tie":  # both level-1 estimates equal one of the thresholds
+            assert intersection_estimate(tree.nodes[(1, 0)], query) == \
+                intersection_estimate(tree.nodes[(1, 1)], query) in thresholds
+        seed = 0
+        for threshold in thresholds:
+            for with_replacement in (True, False):
+                for r in (1, 7, 300):
+                    seed += 1
+                    got = tree.sample_many(query, r, with_replacement, threshold,
+                                           np.random.default_rng(seed))
+                    ref = reference_sample_many(tree, query, r, with_replacement,
+                                                threshold, np.random.default_rng(seed))
+                    where = (case, threshold, with_replacement, r)
+                    assert [o.element for o in got] == [o.element for o in ref], where
+                    assert [o.counters for o in got] == [o.counters for o in ref], where
+                    if threshold == 0 and case != "empty":
+                        assert got and None not in [o.element for o in got], where
+
+    def test_estimates_go_through_the_module_global(self, monkeypatch):
+        _, tree, members = next(t for t in _reference_trees() if t[0] == "full")
+        query = build_filter(tree.family, tree.plan.namespace_size, members)
+        calls = []
+        real = bst.intersection_estimate_counts
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(bst, "intersection_estimate_counts", spy)
+        outs = tree.sample_many(query, 20, threshold=0.0, rng=np.random.default_rng(1))
+        assert calls
+        assert len(calls) <= sum(o.counters.intersections for o in outs)
+
+
+class TestNegativeThreshold:
+    """No estimate is negative, so a negative threshold acts as 0."""
+
+    @pytest.mark.parametrize("with_replacement", [True, False])
+    def test_sample_many_equals_threshold_zero(self, with_replacement):
+        plan = plan_from_accuracy(0.9, 200, 40_000, 3, 240.0)
+        fam = make_family(FamilyKind.SIMPLE_LINEAR, 3, plan.m, seed=2)
+        tree = BloomSampleTree.build_full(plan, fam)
+        members = np.random.default_rng(5).choice(40_000, 3000, replace=False)[:150]
+        query = build_filter(fam, 40_000, members)
+        at_zero = tree.sample_many(query, 300, with_replacement, 0.0,
+                                   np.random.default_rng(0))
+        below = tree.sample_many(query, 300, with_replacement, -1.0,
+                                 np.random.default_rng(0))
+        assert [o.element for o in below] == [o.element for o in at_zero]
+        assert [o.counters for o in below] == [o.counters for o in at_zero]

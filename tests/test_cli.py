@@ -3,10 +3,11 @@ import numpy as np
 import pytest
 
 from bloomsampletree import baselines
-from bloomsampletree.bloom import build_filter
-from bloomsampletree.bst import BloomSampleTree
+from bloomsampletree.bloom import BloomFilter, build_filter
+from bloomsampletree.bst import BloomSampleTree, plan_from_accuracy
 from bloomsampletree.cli import DEFAULT_SEED, main
 from bloomsampletree.evalkit import chi_squared_uniformity
+from bloomsampletree.hashing import FamilyKind, make_family
 
 
 def run_cli(capsys, *argv):
@@ -284,3 +285,30 @@ class TestVerifyOnLoad:
         assert code == 1 and captured.out == ""
         err = captured.err
         assert err.startswith("error: ") and "(0, 0)" in err and err.count("\n") == 1
+
+
+def test_negative_threshold_samples_as_threshold_zero(capsys, tmp_path):
+    plan = plan_from_accuracy(0.9, 200, 40_000, 3, 240.0)
+    fam = make_family(FamilyKind.SIMPLE_LINEAR, 3, plan.m, seed=2)
+    tree_file = tmp_path / "t.bstr"
+    BloomSampleTree.build_full(plan, fam).save(tree_file)
+    members = np.random.default_rng(5).choice(40_000, 3000, replace=False)[:150]
+    argv = ["sample", "--tree", tree_file, "--set", ",".join(map(str, members)), "-r", 300]
+    code, below = run_cli(capsys, *argv, "--threshold", -1)
+    assert code == 0
+    assert below == run_cli(capsys, *argv, "--threshold", 0)[1]
+
+
+def test_chi2_on_a_saturated_query_file_asks_for_rounds(capsys, small_tree_file, tmp_path):
+    tree = BloomSampleTree.load(small_tree_file)
+    saturated = BloomFilter(tree.family, 1000, words=np.full(64, 2**64 - 1, dtype=np.uint64))
+    assert saturated.popcount() == saturated.m == 4096
+    query = tmp_path / "q.bflt"
+    saturated.save(query)
+    code = main(["chi2", "--tree", str(small_tree_file), "--query", str(query)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "saturated" in captured.err and "-T" in captured.err
+    assert main(["chi2", "--tree", str(small_tree_file), "--query", str(query),
+                 "-T", "50"]) == 0

@@ -83,6 +83,37 @@ class TestLibraryRejects:
         assert build_filter(FAM, M, [3.0]) == build_filter(FAM, M, [3])
 
 
+class TestScalarElements:
+    """One element goes through the rule of ``as_elements``, like a batch."""
+
+    def test_filter_insert_non_integral(self):
+        f = build_filter(FAM, M, [])
+        with pytest.raises(ValueError, match="not an integer"):
+            f.insert(1.5)
+        assert f.is_zero() and f.inserted_count == 0
+
+    def test_filter_contains_non_integral(self):
+        f = build_filter(FAM, M, [1])
+        with pytest.raises(ValueError, match="not an integer"):
+            f.contains(1.9)
+
+    def test_tree_insert_non_integral(self):
+        tree = BloomSampleTree.build_pruned(PLAN, FAM, [])
+        with pytest.raises(ValueError, match="not an integer"):
+            tree.insert(2.5)
+        assert tree.node_count == 0
+
+    def test_integral_float_is_the_integer(self):
+        f = build_filter(FAM, M, [])
+        f.insert(2.0)
+        assert f == build_filter(FAM, M, [2])
+        assert f.contains(2.0) and f.contains(np.float64(2.0))
+        tree = BloomSampleTree.build_pruned(PLAN, FAM, [])
+        tree.insert(2.0)
+        tree.insert(np.int64(7))
+        assert tree == BloomSampleTree.build_pruned(PLAN, FAM, [2, 7])
+
+
 def run(capsys, *argv):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
