@@ -28,6 +28,7 @@ from .bst import (
     plan_with_m,
     max_leaf_capacity,
     DEFAULT_THRESHOLD,
+    DEFAULT_COST_RATIO,
 )
 from .baselines import (
     ReconstructionMode,

@@ -9,7 +9,6 @@ of scanning everything.
 from __future__ import annotations
 
 import enum
-from typing import Optional
 
 import numpy as np
 
@@ -34,20 +33,16 @@ class ReconstructionMode(enum.Enum):
 
 
 def da_sample(namespace_size: int, query: BloomFilter, rng=None) -> SampleOutcome:
-    """Uniform sample of the positives via an exhaustive reservoir scan.
+    """Uniform sample of the positives: one draw from the exhaustive scan's.
 
-    Every namespace element is membership-tested; the i-th positive
-    replaces the reservoir with probability 1/i, so the survivor is
-    uniform over all positives.
+    Every namespace element is membership-tested, so the draw is uniform
+    over all positives.
     """
     rng = np.random.default_rng() if rng is None else rng
-    counters = OpCounters(membership_queries=namespace_size)
-    hits = query.scan([(0, namespace_size)])
-    reservoir: Optional[int] = None
-    for i, x in enumerate(hits):
-        if rng.random() < 1.0 / (i + 1):
-            reservoir = int(x)
-    return SampleOutcome(reservoir, counters)
+    hits, counters = da_reconstruct(namespace_size, query)
+    if hits.size == 0:
+        return SampleOutcome(None, counters)
+    return SampleOutcome(int(hits[rng.integers(hits.size)]), counters)
 
 
 def da_reconstruct(namespace_size: int, query: BloomFilter) -> tuple[np.ndarray, OpCounters]:
@@ -72,23 +67,15 @@ def hi_sample(query: BloomFilter, namespace_size: int, rng=None) -> SampleOutcom
     if set_bits.size == 0:
         return SampleOutcome(None, counters)
     s = int(set_bits[rng.integers(set_bits.size)])
-    # reservoir over the concatenated pruned preimages, first occurrence wins
-    seen: set = set()
-    reservoir: Optional[int] = None
-    n_kept = 0
+    parts = []
     for i in range(query.family.k):
         cand = preimage(query.family, i, s, namespace_size)
         counters.membership_queries += int(cand.size)
-        kept = cand[query.contains_many(cand)]
-        for x in kept:
-            x = int(x)
-            if x in seen:
-                continue
-            seen.add(x)
-            n_kept += 1
-            if rng.random() < 1.0 / n_kept:
-                reservoir = x
-    return SampleOutcome(reservoir, counters)
+        parts.append(cand[query.contains_many(cand)])
+    kept = np.unique(np.concatenate(parts))
+    if kept.size == 0:
+        return SampleOutcome(None, counters)
+    return SampleOutcome(int(kept[rng.integers(kept.size)]), counters)
 
 
 def hi_reconstruct(query: BloomFilter, namespace_size: int,

@@ -36,6 +36,7 @@ __all__ = [
     "max_leaf_capacity",
     "BloomSampleTree",
     "DEFAULT_THRESHOLD",
+    "DEFAULT_COST_RATIO",
 ]
 
 _MAGIC = b"BSTR"
@@ -46,6 +47,9 @@ _INDEX_ENTRY = np.dtype([("level", "u1"), ("j", "<u8")])
 # An estimated intersection below half an element is treated as empty;
 # exposed as a tunable on every traversal entry point.
 DEFAULT_THRESHOLD = 0.5
+# Intersection cost over membership cost that the planner assumes when the
+# caller measures none; it sets the leaf width and so the depth.
+DEFAULT_COST_RATIO = 240.0
 # Bound on the node words stacked at once by the level walks of
 # ``reconstruct`` and ``verify``, so their memory does not grow with the
 # width of the tree.
@@ -136,8 +140,8 @@ def max_leaf_capacity(cost_ratio: float) -> int:
     Below that width, walking further down the tree costs more in
     intersections than a brute-force membership scan of the leaf.
     """
-    if cost_ratio <= 0:
-        raise PlanError("cost_ratio must be positive")
+    if not 0.0 < cost_ratio < math.inf:
+        raise PlanError(f"cost_ratio must be finite and positive, got {cost_ratio}")
     best = 1
     if cost_ratio >= 2.0:
         best = 2
@@ -174,6 +178,8 @@ def plan_from_accuracy(accuracy: float, n_ref: int, namespace_size: int, k: int,
     of ``n_ref`` elements, and the leaf width is the largest one whose
     brute-force scan is no costlier than descending further.
     """
+    if not 1 <= k < 1 << 16:  # TreePlan and the family descriptor store k as u16
+        raise PlanError(f"k must be in [1, 2^16), got {k}")
     if not 0.0 < accuracy < 1.0:
         raise PlanError("accuracy must be strictly between 0 and 1 "
                         "(for accuracy 1.0 supply m explicitly)")
@@ -197,6 +203,8 @@ def plan_from_accuracy(accuracy: float, n_ref: int, namespace_size: int, k: int,
 def plan_with_m(m: int, namespace_size: int, k: int, cost_ratio: float,
                 accuracy_target: float = 1.0) -> TreePlan:
     """Plan with an explicitly chosen filter size (accuracy formula bypassed)."""
+    if not 1 <= k < 1 << 16:  # TreePlan and the family descriptor store k as u16
+        raise PlanError(f"k must be in [1, 2^16), got {k}")
     if m < 8 * k:
         raise PlanError(f"m={m} is degenerate for k={k}")
     depth, leaf = _depth_and_leaf(namespace_size, cost_ratio)

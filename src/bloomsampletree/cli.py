@@ -12,7 +12,8 @@ import sys
 import numpy as np
 
 from .bloom import BloomFilter, build_filter, check_query_namespace
-from .bst import BloomSampleTree, plan_from_accuracy, plan_with_m, DEFAULT_THRESHOLD
+from .bst import (BloomSampleTree, plan_from_accuracy, plan_with_m,
+                  DEFAULT_COST_RATIO, DEFAULT_THRESHOLD)
 from .estimate import fp_probability, population_estimate
 from .hashing import FAMILY_NAMES, make_family
 from . import baselines
@@ -27,23 +28,20 @@ from .evalkit import (
 DEFAULT_SEED = 20260823
 
 
-def _resolve_cost_ratio(args) -> float:
-    if args.calibrate:
-        # rough m guess for timing purposes; planning only needs the ratio
-        return calibrate_cost_ratio(args.m_hint, args.k,
-                                    rng=np.random.default_rng(args.seed))
-    return args.cost_ratio
-
-
 def _make_plan(args):
-    cost_ratio = _resolve_cost_ratio(args)
     if args.force_m is not None:
-        return plan_with_m(args.force_m, args.namespace_size, args.k, cost_ratio)
-    if args.accuracy >= 1.0:
+        plan = plan_with_m(args.force_m, args.namespace_size, args.k, args.cost_ratio)
+    elif args.accuracy >= 1.0:
         raise SystemExit("error: accuracy 1.0 implies an unbounded filter; "
                          "use --force-m to pick m explicitly")
-    return plan_from_accuracy(args.accuracy, args.n_ref, args.namespace_size,
-                              args.k, cost_ratio)
+    else:
+        plan = plan_from_accuracy(args.accuracy, args.n_ref, args.namespace_size,
+                                  args.k, args.cost_ratio)
+    if args.calibrate:
+        # m does not depend on the cost ratio, so time the m just planned
+        ratio = calibrate_cost_ratio(plan.m, plan.k, rng=np.random.default_rng(args.seed))
+        plan = plan_with_m(plan.m, plan.namespace_size, plan.k, ratio, plan.accuracy_target)
+    return plan
 
 
 def _add_plan_args(p):
@@ -52,11 +50,9 @@ def _add_plan_args(p):
     p.add_argument("-M", "--namespace-size", type=int, required=True,
                    dest="namespace_size")
     p.add_argument("-k", type=int, default=3)
-    p.add_argument("--cost-ratio", type=float, default=240.0, dest="cost_ratio")
+    p.add_argument("--cost-ratio", type=float, default=DEFAULT_COST_RATIO, dest="cost_ratio")
     p.add_argument("--calibrate", action="store_true",
-                   help="measure the intersection/membership cost ratio instead")
-    p.add_argument("--m-hint", type=int, default=60000, dest="m_hint",
-                   help="filter size used when timing with --calibrate")
+                   help="measure the intersection/membership cost ratio at the planned m")
     p.add_argument("--force-m", type=int, default=None, dest="force_m",
                    help="skip the accuracy formula and use this m")
 
@@ -68,6 +64,7 @@ def cmd_plan(args) -> int:
     print(f"k {plan.k}")
     print(f"depth {plan.depth}")
     print(f"leaf_size {plan.leaf_size}")
+    print(f"cost_ratio {plan.cost_ratio}")
     print(f"padded_namespace {plan.padded_size}")
     print(f"predicted_fp {fp:.6g}")
     print(f"nodes {plan.full_node_count}")

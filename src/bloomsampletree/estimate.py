@@ -66,7 +66,7 @@ def intersection_estimate_counts(m: int, k: int, t1: int, t2: int, t_and: int) -
     if t1 == m and t2 == m:
         return math.inf
     if t2 == m:
-        return math.inf if t1 == m else math.log((m - t1) / m) / log_scale
+        return math.log((m - t1) / m) / log_scale
     if t1 == m:
         return math.log((m - t2) / m) / log_scale
     denom = m - t1 - t2 + t_and  # m - popcount(OR), never negative

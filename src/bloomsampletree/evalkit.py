@@ -16,7 +16,8 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .bloom import BloomFilter, build_filter
-from .bst import BloomSampleTree, OpCounters, plan_from_accuracy, DEFAULT_THRESHOLD
+from .bst import (BloomSampleTree, OpCounters, plan_from_accuracy, DEFAULT_COST_RATIO,
+                  DEFAULT_THRESHOLD)
 from .hashing import FAMILY_NAMES, FamilyKind, make_family
 from . import baselines
 
@@ -180,9 +181,6 @@ class ClusteredSampler:
             self._renormalize()
         return s
 
-    def total_mass(self) -> float:
-        return self.weights.total() * self.scale
-
 
 def gen_clustered(namespace_size: int, n: int, p: float = 10.0, rng=None) -> np.ndarray:
     """n distinct elements with locality: draws cluster around earlier ones."""
@@ -335,7 +333,7 @@ class SweepConfig:
     families: list = field(default_factory=lambda: ["simple"])
     shapes: list = field(default_factory=lambda: ["uniform"])
     k: int = 3
-    cost_ratio: float = 240.0
+    cost_ratio: float = DEFAULT_COST_RATIO
     threshold: float = DEFAULT_THRESHOLD
     trials: int = 100
     master_seed: int = 20260823
@@ -413,9 +411,7 @@ class BenchRecord:
 def _make_query_set(shape: str, namespace_size: int, n: int, p: float, rng):
     if shape == "uniform":
         return gen_uniform(namespace_size, n, rng)
-    if shape == "clustered":
-        return gen_clustered(namespace_size, n, p, rng)
-    raise ValueError(f"unknown query-set shape {shape!r}")
+    return gen_clustered(namespace_size, n, p, rng)
 
 
 def run_sweep(config: SweepConfig, progress=None) -> list[BenchRecord]:
@@ -426,6 +422,14 @@ def run_sweep(config: SweepConfig, progress=None) -> list[BenchRecord]:
     (M, n, accuracy, family), the inputs of their plan and family, so
     repeated cells share one build.
     """
+    for axis, names, known in (("algorithm", config.algorithms, ("bst", "da", "hi")),
+                               ("family", config.families, FAMILY_NAMES),
+                               ("shape", config.shapes, ("uniform", "clustered"))):
+        for name in names:
+            if name not in known:
+                raise ValueError(f"unknown {axis} {name!r}")
+    if config.trials < 1:
+        raise ValueError(f"trials must be >= 1, got {config.trials}")
     records = []
     tree_cache: dict = {}
     cells = list(itertools.product(config.algorithms, config.namespace_sizes,
@@ -449,10 +453,8 @@ def run_sweep(config: SweepConfig, progress=None) -> list[BenchRecord]:
                 out = tree.sample(query, config.threshold, rng)
             elif algo == "da":
                 out = baselines.da_sample(M, query, rng)
-            elif algo == "hi":
-                out = baselines.hi_sample(query, M, rng)
             else:
-                raise ValueError(f"unknown algorithm {algo!r}")
+                out = baselines.hi_sample(query, M, rng)
             totals.merge(out.counters)
         elapsed = time.perf_counter_ns() - t0
         t = config.trials

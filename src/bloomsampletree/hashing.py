@@ -85,8 +85,8 @@ class HashFamily:
     namespace_limit: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
+        if not 1 <= self.k < 1 << 16:  # to_bytes packs k as u16
+            raise ValueError(f"k must be in [1, 2^16), got {self.k}")
         if self.m < 2:
             raise ValueError("m must be >= 2")
         if len(self.params) != self.k:

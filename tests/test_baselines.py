@@ -13,8 +13,9 @@ from bloomsampletree.baselines import (
     hi_reconstruct,
 )
 from bloomsampletree.bloom import BloomFilter, build_filter
+from bloomsampletree.bst import OpCounters, SampleOutcome
 from bloomsampletree.estimate import fp_probability
-from bloomsampletree.hashing import FamilyKind, hash_many, make_family
+from bloomsampletree.hashing import FamilyKind, hash_many, make_family, preimage
 
 
 class TestDaSample:
@@ -196,3 +197,66 @@ class TestHiReconstructWindows:
         monkeypatch.setattr(hashing, "hash_many", counting)
         _, counters = hi_reconstruct(q, M, ReconstructionMode.SET_BITS)
         assert sum(hashed) == 3 * counters.membership_queries < 3 * M
+
+
+def reservoir_da_sample(namespace_size, query, rng):
+    """The earlier DA sampler: a reservoir over the scan's positives."""
+    counters = OpCounters(membership_queries=namespace_size)
+    reservoir = None
+    for i, x in enumerate(query.scan([(0, namespace_size)])):
+        if rng.random() < 1.0 / (i + 1):
+            reservoir = int(x)
+    return SampleOutcome(reservoir, counters)
+
+
+def reservoir_hi_sample(query, namespace_size, rng):
+    """The earlier HI sampler: a reservoir over the distinct pruned preimages."""
+    counters = OpCounters()
+    set_bits = query.set_bit_indices()
+    if set_bits.size == 0:
+        return SampleOutcome(None, counters)
+    s = int(set_bits[rng.integers(set_bits.size)])
+    seen, reservoir = set(), None
+    for i in range(query.family.k):
+        cand = preimage(query.family, i, s, namespace_size)
+        counters.membership_queries += int(cand.size)
+        for x in cand[query.contains_many(cand)].tolist():
+            if x not in seen:
+                seen.add(x)
+                if rng.random() < 1.0 / len(seen):
+                    reservoir = x
+    return SampleOutcome(reservoir, counters)
+
+
+class TestSamplersAgainstReservoir:
+    """Drawing from the positives in memory costs what the reservoir did."""
+
+    @pytest.mark.parametrize("n", [1, 30, 300])
+    def test_same_counters_and_positive_elements(self, n):
+        M = 10**4
+        fam = make_family(FamilyKind.SIMPLE_LINEAR, 3, 499, seed=n)
+        q = build_filter(fam, M, np.random.default_rng(n).choice(M, size=n, replace=False))
+        positives = set(da_reconstruct(M, q)[0].tolist())
+        for seed in range(25):
+            for new, old in ((da_sample(M, q, np.random.default_rng(seed)),
+                              reservoir_da_sample(M, q, np.random.default_rng(seed))),
+                             (hi_sample(q, M, np.random.default_rng(seed)),
+                              reservoir_hi_sample(q, M, np.random.default_rng(seed)))):
+                assert new.counters == old.counters
+                assert new.element in positives and old.element in positives
+
+
+def test_hi_sample_uniform_over_preimage_positives():
+    # k = 1: the one set bit's preimages x = 4242 (mod 997) are the 101 positives
+    M, n_pos = 10**5, 101
+    fam = make_family(FamilyKind.SIMPLE_LINEAR, 1, 997, seed=16)
+    q = build_filter(fam, M, [4242])
+    positives, _ = da_reconstruct(M, q)
+    assert positives.size == n_pos and 4242 in positives
+    rng = np.random.default_rng(16)
+    counts = dict.fromkeys(positives.tolist(), 0)
+    for _ in range(130 * n_pos):
+        counts[hi_sample(q, M, rng=rng).element] += 1
+    obs = np.array(list(counts.values()), dtype=float)
+    qstat = float(np.sum((obs - 130.0) ** 2 / 130.0))
+    assert stats.chi2.sf(qstat, n_pos - 1) > 0.08

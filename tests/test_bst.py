@@ -902,3 +902,26 @@ class TestNegativeThreshold:
                                  np.random.default_rng(0))
         assert [o.element for o in below] == [o.element for o in at_zero]
         assert [o.counters for o in below] == [o.counters for o in at_zero]
+
+
+class TestPlannerRejectsWhatItCannotPlan:
+    """k is stored as u16, and the leaf width needs a finite positive ratio."""
+
+    @pytest.mark.parametrize("k", [0, -1, 2**16])
+    def test_k_out_of_range(self, k):
+        with pytest.raises(PlanError, match="k must be"):
+            plan_from_accuracy(0.9, 1000, 10**5, k, 240.0)
+        with pytest.raises(PlanError, match="k must be"):
+            plan_with_m(10**6, 10**7, k, 240.0)
+
+    def test_k_below_the_u16_limit_plans(self):
+        assert plan_with_m(8 * (2**16 - 1), 10**7, 2**16 - 1, 240.0).k == 2**16 - 1
+
+    @pytest.mark.parametrize("ratio", [math.inf, -math.inf, math.nan, 0.0, -3.0])
+    def test_ratio_not_finite_and_positive(self, ratio):
+        with pytest.raises(PlanError, match="cost_ratio"):
+            max_leaf_capacity(ratio)
+        with pytest.raises(PlanError, match="cost_ratio"):
+            plan_from_accuracy(0.9, 1000, 10**5, 3, ratio)
+        with pytest.raises(PlanError, match="cost_ratio"):
+            plan_with_m(1000, 10**5, 3, ratio)

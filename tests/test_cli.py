@@ -312,3 +312,65 @@ def test_chi2_on_a_saturated_query_file_asks_for_rounds(capsys, small_tree_file,
     assert "saturated" in captured.err and "-T" in captured.err
     assert main(["chi2", "--tree", str(small_tree_file), "--query", str(query),
                  "-T", "50"]) == 0
+
+
+class TestPlanRejections:
+    @pytest.mark.parametrize("flags", [("-k", 0), ("-k", 2**16), ("--cost-ratio", "inf"),
+                                       ("--cost-ratio", "nan"), ("--force-m", 1000, "-k", 0)])
+    def test_one_line_error(self, capsys, flags):
+        code = main([str(a) for a in ("plan", "-M", 100000) + flags])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestPlanCostRatio:
+    def test_default_ratio_printed(self, capsys):
+        code, out = run_cli(capsys, "plan", "-M", 10**6)
+        assert code == 0
+        assert "cost_ratio 240.0" in out.splitlines()
+
+    def test_calibrate_times_the_planned_m(self, capsys, monkeypatch):
+        timed = []
+
+        def fake_calibration(m, k, rng=None):
+            timed.append((m, k))
+            return 1000.0
+
+        monkeypatch.setattr("bloomsampletree.cli.calibrate_cost_ratio", fake_calibration)
+        code, out = run_cli(capsys, "plan", "-M", 10**7, "--n-ref", 10**4, "--calibrate")
+        assert code == 0
+        assert timed == [(608694, 3)]
+        lines = dict(line.split(" ", 1) for line in out.splitlines())
+        assert lines["m"] == "608694"
+        assert lines["depth"] == "10"
+        assert lines["cost_ratio"] == "1000.0"
+
+    def test_calibrated_ratio_is_stored_in_the_tree(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr("bloomsampletree.cli.calibrate_cost_ratio",
+                            lambda m, k, rng=None: 8.0)
+        path = tmp_path / "t.bstr"
+        code, _ = run_cli(capsys, "build", "-M", 1000, "--force-m", 4096, "--calibrate",
+                          "--out", path)
+        assert code == 0
+        plan = BloomSampleTree.load(path).plan
+        assert (plan.m, plan.cost_ratio, plan.accuracy_target) == (4096, 8.0, 1.0)
+
+    def test_m_hint_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "-M", "100000", "--calibrate", "--m-hint", "5"])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["families = foo", "algorithms = bst, nope",
+                                  "shapes = blobs", "trials = 0"])
+def test_bench_bad_grid_exits_with_one_line_error(capsys, tmp_path, line):
+    config = tmp_path / "bad.cfg"
+    config.write_text(f"version = 1\nM = 2000\nn = 50\ntrials = 3\n{line}\n")
+    out_csv = tmp_path / "out.csv"
+    code = main(["bench", "--config", str(config), "--out", str(out_csv)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out_csv.exists()

@@ -7,6 +7,7 @@ from scipy import integrate, stats
 
 from bloomsampletree.baselines import da_reconstruct, da_sample
 from bloomsampletree.bloom import build_filter
+from bloomsampletree.bst import BloomSampleTree
 from bloomsampletree.estimate import fp_probability
 from bloomsampletree.evalkit import (
     CSV_HEADER,
@@ -269,3 +270,39 @@ class TestRunSweep:
                             "intersections,membership,nodes,time_ns,trials")
         assert len(lines) == 2
         assert lines[1].startswith("da,10000,200,0.9,simple,uniform,")
+
+
+class TestRunSweepChecksItsGrid:
+    """A bad name or trial count fails before the first cell builds a tree."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []
+        build_full = BloomSampleTree.build_full
+
+        def spy(plan, family):
+            built.append(plan)
+            return build_full(plan, family)
+
+        monkeypatch.setattr(BloomSampleTree, "build_full", spy)
+        return built
+
+    @pytest.mark.parametrize("key, value, bad", [
+        ("algorithms", ["bst", "nope"], "nope"),
+        ("families", ["simple", "foo"], "foo"),
+        ("shapes", ["uniform", "blobs"], "blobs"),
+        ("trials", 0, "trials"),
+    ])
+    def test_rejected_before_any_build(self, builds, key, value, bad):
+        cfg = SweepConfig(algorithms=["bst"], namespace_sizes=[10**4], set_sizes=[200],
+                          trials=2, master_seed=123)
+        setattr(cfg, key, value)
+        with pytest.raises(ValueError, match=bad):
+            run_sweep(cfg)
+        assert builds == []
+
+    def test_good_grid_builds_once_per_tree(self, builds):
+        cfg = SweepConfig(algorithms=["bst"], namespace_sizes=[10**4], set_sizes=[200],
+                          shapes=["uniform", "clustered"], trials=2, master_seed=123)
+        assert len(run_sweep(cfg)) == 2
+        assert len(builds) == 1

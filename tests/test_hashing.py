@@ -358,3 +358,17 @@ class TestScalarPath:
         for i in range(2):
             assert (hash_many(fam, i, xs).tolist()
                     == self._array_path(monkeypatch, fam, i, xs).tolist())
+
+
+class TestKFitsTheDescriptor:
+    """``to_bytes`` packs k as u16, so a family never holds more functions."""
+
+    def test_k_of_two_to_the_16_rejected(self):
+        with pytest.raises(ValueError, match="k must be"):
+            make_family(FamilyKind.MURMUR3, 2**16, 1000)
+
+    @pytest.mark.parametrize("kind", [FamilyKind.MURMUR3, FamilyKind.SIMPLE_LINEAR])
+    def test_largest_k_round_trips(self, kind):
+        fam = make_family(kind, 2**16 - 1, 1009, seed=3)
+        back, offset = HashFamily.from_bytes(fam.to_bytes())
+        assert back == fam and offset == len(fam.to_bytes())
