@@ -139,25 +139,34 @@ class BloomFilter:
 
     def __init__(self, family: HashFamily, namespace_size: int,
                  words: Optional[np.ndarray] = None,
-                 inserted_count: Optional[int] = 0, *, checked: bool = False):
-        """``checked=True`` skips the namespace and word-count checks and
-        keeps ``words`` as given: for a loader that has already checked
-        them for a whole tree."""
-        if not checked:
-            family.check_namespace(namespace_size)
+                 inserted_count: Optional[int] = 0):
+        family.check_namespace(namespace_size)
         self.family = family
         self.namespace_size = int(namespace_size)
         n_words = (family.m + 63) // 64
         if words is None:
             self.words = np.zeros(n_words, dtype=np.uint64)
-        elif checked:
-            self.words = words
         else:
             if len(words) != n_words:
                 raise ValueError("word array length does not match m")
             self.words = np.asarray(words, dtype=np.uint64)
         self.inserted_count = inserted_count
         self._popcount = None
+
+    @classmethod
+    def _row_view(cls, family: HashFamily, namespace_size: int, words: np.ndarray,
+                  inserted_count: Optional[int]) -> "BloomFilter":
+        """A filter that holds ``words`` as given, one uint64 row of
+        ``(m + 63) // 64`` words, with no checks: for tree builders and
+        loaders, which check the namespace and the row width once per tree
+        and map this over the rows of a words matrix."""
+        flt = object.__new__(cls)
+        flt.family = family
+        flt.namespace_size = namespace_size
+        flt.words = words
+        flt.inserted_count = inserted_count
+        flt._popcount = None
+        return flt
 
     @property
     def m(self) -> int:

@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from itertools import islice
+from functools import partial
+from itertools import islice, repeat
 from typing import Optional
 
 import numpy as np
@@ -130,12 +131,19 @@ class TreePlan:
         return plan, offset + struct.calcsize("<QQHHQdd")
 
 
+# Cap on the planned leaf width.  A plan stores M as a u64, so a leaf this
+# wide holds any namespace, and N / log2(N) stays a float up to it, where
+# a cost ratio near the largest float would ask for N past 2^1024.
+_MAX_LEAF = 1 << 64
+
+
 def _leaf_ratio(n: int) -> float:
     return n / math.log2(n)
 
 
 def max_leaf_capacity(cost_ratio: float) -> int:
-    """Largest leaf width N with N / log2(N) <= cost_ratio.
+    """Largest leaf width N with N / log2(N) <= cost_ratio, at most
+    ``_MAX_LEAF``.
 
     Below that width, walking further down the tree costs more in
     intersections than a brute-force membership scan of the leaf.
@@ -147,10 +155,8 @@ def max_leaf_capacity(cost_ratio: float) -> int:
         best = 2
     if cost_ratio < _leaf_ratio(3):
         return best
-    lo, hi = 3, max(16, int(cost_ratio) * 64 + 16)
-    while _leaf_ratio(hi) <= cost_ratio:
-        hi *= 2
     # N / log2(N) is increasing for N >= 3
+    lo, hi = 3, _MAX_LEAF
     while lo < hi:
         mid = (lo + hi + 1) // 2
         if _leaf_ratio(mid) <= cost_ratio:
@@ -220,6 +226,47 @@ def _check_threshold(threshold: float) -> float:
     return max(threshold, 0.0)
 
 
+def _check_index(levels: np.ndarray, js: np.ndarray, depth: int) -> None:
+    """Raise ValueError for the first entry of a tree file's (level, j)
+    index that lies outside a depth-``depth`` tree, does not follow the
+    entry before it in ascending (level, j) order, or whose parent no
+    earlier entry lists; within an entry the checks run in that order.
+
+    A fixed number of numpy calls over the whole index.  The parents are
+    found by one sort of the entries together with the parent keys: a
+    (level, j) pair packed into one integer, such as 2^level + j, would
+    overflow uint64 past level 63.
+    """
+    levels, js = levels.copy(), js.copy()  # contiguous: the index packs 9-byte entries
+    outside = (levels > depth) | (js >> levels != 0)
+    unordered = np.zeros(levels.size, dtype=bool)
+    unordered[1:] = (levels[1:] < levels[:-1]) | ((levels[1:] == levels[:-1])
+                                                  & (js[1:] <= js[:-1]))
+    bad = np.flatnonzero(outside | unordered)
+    stop = bad[0] if bad.size else levels.size
+    # The entries before ``stop`` are inside the tree and strictly ascending,
+    # so a parent listed at all among them is listed before its child.  Sort
+    # them, then the parent keys of their children, by (level, j); the sort
+    # is stable, so a run of equal keys starts with the entry if one is
+    # listed, else with the parent key of the run's first child.
+    child = np.flatnonzero(levels[:stop])
+    key_levels = np.concatenate([levels[:stop], levels[child] - 1])
+    key_js = np.concatenate([js[:stop], js[child] >> 1])
+    order = np.lexsort((key_js, key_levels))
+    key_levels, key_js = key_levels[order], key_js[order]
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = (key_levels[1:] != key_levels[:-1]) | (key_js[1:] != key_js[:-1])
+    orphans = order[starts & (order >= stop)] - stop
+    if orphans.size:
+        row = child[orphans.min()]
+        raise ValueError(f"node {(int(levels[row]), int(js[row]))} has no parent")
+    if stop < levels.size:
+        if outside[stop]:
+            raise ValueError(f"node {(int(levels[stop]), int(js[stop]))} "
+                             f"outside a depth-{depth} tree")
+        raise ValueError("tree nodes not in ascending (level, j) order")
+
+
 class BloomSampleTree:
     """The tree itself: a dict of (level, index) -> BloomFilter nodes.
 
@@ -271,7 +318,7 @@ class BloomSampleTree:
             batch = list(islice(arrays, step))
             words[start:start + len(batch)] = filter_rows(family, batch, bitmap)
             counts[start:start + len(batch)] = [xs.size for xs in batch]
-        nodes, M = self.nodes, plan.namespace_size
+        node = partial(BloomFilter._row_view, family, int(plan.namespace_size))
         for level in range(plan.depth, -1, -1):
             if level < plan.depth:
                 parents = js >> 1
@@ -281,9 +328,8 @@ class BloomSampleTree:
                 words = np.bitwise_or(up, words[last], out=up)
                 counts = np.add.reduceat(counts, first)
                 js = parents[first]
-            for j, row, count in zip(js.tolist(), words, counts.tolist()):
-                nodes[(level, j)] = BloomFilter(family, M, words=row, inserted_count=count,
-                                                checked=True)
+            self.nodes.update(zip(zip(repeat(level), js.tolist()),
+                                  map(node, words, counts.tolist())))
         return self
 
     @classmethod
@@ -587,21 +633,15 @@ class BloomSampleTree:
         entries = np.frombuffer(data, _INDEX_ENTRY, count, offset)
         words = np.frombuffer(data, "<u8", count * n_words, offset + entries.nbytes)
         words = words.reshape(count, n_words)
+        _check_index(entries["level"], entries["j"], plan.depth)
         keys = list(zip(entries["level"].tolist(), entries["j"].tolist()))
-        for row, (level, j) in enumerate(keys):
-            if level > plan.depth or j >> level:
-                raise ValueError(f"node {(level, j)} outside a depth-{plan.depth} tree")
-            if row and keys[row - 1] >= (level, j):
-                raise ValueError("tree nodes not in ascending (level, j) order")
-            if level and (level - 1, j >> 1) not in tree.nodes:
-                raise ValueError(f"node {(level, j)} has no parent")
-            # the tree has checked the namespace, and the file size fixes the row width
-            tree.nodes[(level, j)] = BloomFilter(family, plan.namespace_size,
-                                                 words=words[row], inserted_count=None,
-                                                 checked=True)
         bad = np.flatnonzero(words[:, -1] & tail_mask(plan.m))
         if bad.size:
             raise ValueError(f"tree node {keys[bad[0]]} sets a bit at or past m = {plan.m}")
+        # the tree has checked the namespace, and the file size fixes the row width
+        tree.nodes = dict(zip(keys, map(partial(BloomFilter._row_view, family,
+                                                plan.namespace_size),
+                                        words, repeat(None))))
         return tree
 
     def save(self, path) -> None:

@@ -435,10 +435,14 @@ def run_sweep(config: SweepConfig, progress=None) -> list[BenchRecord]:
     cells = list(itertools.product(config.algorithms, config.namespace_sizes,
                                    config.set_sizes, config.accuracies,
                                    config.families, config.shapes))
+    # every cell is planned before any is run, so a cell the planner rejects
+    # fails the sweep before it builds a tree
+    plans = {(M, n, acc): plan_from_accuracy(acc, n, M, config.k, config.cost_ratio)
+             for _, M, n, acc, _, _ in cells}
     for idx, (algo, M, n, acc, fam_name, shape) in enumerate(cells):
         rng = np.random.default_rng(config.master_seed ^ idx)
         kind = FAMILY_NAMES[fam_name]
-        plan = plan_from_accuracy(acc, n, M, config.k, config.cost_ratio)
+        plan = plans[(M, n, acc)]
         cache_key = (M, n, acc, fam_name)
         family = make_family(kind, config.k, plan.m, seed=config.master_seed)
         if algo == "bst" and cache_key not in tree_cache:

@@ -1,6 +1,8 @@
 """Tests for tree planning, construction, sampling, and reconstruction."""
 import math
 import re
+import struct
+import sys
 
 import numpy as np
 import pytest
@@ -459,6 +461,21 @@ class TestInsertHashesOnce:
         assert tree.node_count == 0
 
 
+def reference_index_error(keys, depth):
+    """The message of the first faulty (level, j) entry, None if there is
+    none: the loader's index checks run one entry at a time."""
+    listed = set()
+    for row, (level, j) in enumerate(keys):
+        if level > depth or j >> level:
+            return f"node {(level, j)} outside a depth-{depth} tree"
+        if row and keys[row - 1] >= (level, j):
+            return "tree nodes not in ascending (level, j) order"
+        if level and (level - 1, j >> 1) not in listed:
+            return f"node {(level, j)} has no parent"
+        listed.add((level, j))
+    return None
+
+
 def _first_index_entry(tree) -> int:
     """Byte offset of the first (level, j) entry of a serialized tree."""
     return 5 + len(tree.plan.to_bytes()) + len(tree.family.to_bytes()) + 8
@@ -513,6 +530,72 @@ class TestTreeFileValidation:
         data[second:second + 9] = bytes(9)  # a second (0, 0) entry
         with pytest.raises(ValueError, match="order"):
             BloomSampleTree.from_bytes(bytes(data))
+
+    @pytest.mark.parametrize("keys, message", [
+        # an orphan before a duplicate
+        ([(0, 0), (1, 0), (2, 2), (2, 2)], r"node \(2, 2\) has no parent"),
+        # a duplicate before an orphan
+        ([(0, 0), (1, 0), (1, 0), (2, 2)], "not in ascending"),
+        # a level above depth after an orphan
+        ([(0, 0), (1, 0), (2, 2), (200, 0)], r"node \(2, 2\) has no parent"),
+    ])
+    def test_first_faulty_entry_named(self, keys, message):
+        tree, plan, _ = small_tree(M=64, leaf_ratio=2.0, occupied=[1])
+        assert plan.depth >= 2
+        data = tree.to_bytes()
+        head = data[:_first_index_entry(tree) - 8]
+        n_words = len(tree.nodes[(0, 0)].words)
+        data = b"".join([head, struct.pack("<Q", len(keys)),
+                         np.array(keys, dtype=bst._INDEX_ENTRY).tobytes(),
+                         bytes(8 * n_words * len(keys))])
+        with pytest.raises(ValueError, match=message):
+            BloomSampleTree.from_bytes(data)
+
+    def test_index_checks_match_a_check_of_one_entry_at_a_time(self):
+        rng = np.random.default_rng(13)
+        verdicts = set()
+        for depth, M, leaf_size in [(4, 64, 4), (9, 5_000, 10), (70, 1_000, 1)]:
+            plan = TreePlan(M, 200, 3, depth, leaf_size, 1.0, 240.0)
+            fam = make_family(FamilyKind.MURMUR3, 3, 200, seed=1)
+            for _ in range(60):
+                occ = rng.choice(M, int(rng.integers(1, 12)), replace=False)
+                base = sorted(BloomSampleTree.build_pruned(plan, fam, occ).nodes)
+                for _ in range(10):
+                    keys = list(base)
+                    for _ in range(int(rng.integers(1, 3))):
+                        row, kind = int(rng.integers(len(keys))), int(rng.integers(4))
+                        level, j = keys[row]
+                        if kind == 0:
+                            level = int(rng.integers(max(0, depth - 3), depth + 3))
+                        elif kind == 1:
+                            j ^= 1 << int(rng.integers(0, min(level, 63) + 1))
+                        elif kind == 2:
+                            level, j = keys[int(rng.integers(len(keys)))]
+                        else:
+                            j = int(rng.integers(0, 2**64, dtype=np.uint64))
+                        keys[row] = (level, j)
+                    expected = reference_index_error(keys, depth)
+                    entries = np.array(keys, dtype=bst._INDEX_ENTRY)
+                    try:
+                        bst._check_index(entries["level"], entries["j"], depth)
+                        got = None
+                    except ValueError as exc:
+                        got = str(exc)
+                    assert got == expected, keys
+                    verdicts.add(expected and expected.split()[-1])
+        assert verdicts == {None, "tree", "order", "parent"}
+
+    def test_levels_past_63_load(self):
+        # 2^level + j, one integer per node, would overflow uint64 here
+        plan = TreePlan(1000, 256, 3, depth=70, leaf_size=1, accuracy_target=1.0,
+                        cost_ratio=240.0)
+        fam = make_family(FamilyKind.MURMUR3, 3, 256, seed=4)
+        tree = BloomSampleTree.build_pruned(plan, fam, [0, 5, 999])
+        back = BloomSampleTree.from_bytes(tree.to_bytes())
+        assert back == tree and (70, 999) in back.nodes
+        back.verify()
+        found, _ = back.reconstruct(build_filter(fam, 1000, [5]), 0.0)
+        assert found.tolist() == [5]
 
     def test_version_one_rejected(self):
         data = bytearray(small_tree(M=16)[0].to_bytes())
@@ -916,6 +999,14 @@ class TestPlannerRejectsWhatItCannotPlan:
 
     def test_k_below_the_u16_limit_plans(self):
         assert plan_with_m(8 * (2**16 - 1), 10**7, 2**16 - 1, 240.0).k == 2**16 - 1
+
+    @pytest.mark.parametrize("ratio", [1e307, sys.float_info.max])
+    def test_huge_finite_ratio_plans_depth_zero(self, ratio):
+        # N / log2(N) would leave the float range on the way to the width
+        assert max_leaf_capacity(ratio) >= 2**64 - 1
+        assert plan_with_m(1000, 10**5, 3, ratio).depth == 0
+        plan = plan_from_accuracy(0.9, 1000, 10**5, 3, ratio)
+        assert (plan.depth, plan.leaf_size) == (0, 10**5)
 
     @pytest.mark.parametrize("ratio", [math.inf, -math.inf, math.nan, 0.0, -3.0])
     def test_ratio_not_finite_and_positive(self, ratio):

@@ -1,4 +1,6 @@
 """End-to-end tests driving the command line interface in process."""
+import sys
+
 import numpy as np
 import pytest
 
@@ -329,6 +331,13 @@ class TestPlanCostRatio:
         code, out = run_cli(capsys, "plan", "-M", 10**6)
         assert code == 0
         assert "cost_ratio 240.0" in out.splitlines()
+
+    @pytest.mark.parametrize("ratio", [1e307, sys.float_info.max])
+    def test_huge_finite_ratio_plans(self, capsys, ratio):
+        code, out = run_cli(capsys, "plan", "-M", 100000, "--cost-ratio", repr(ratio))
+        assert code == 0
+        lines = dict(line.split(" ", 1) for line in out.splitlines())
+        assert (lines["depth"], lines["leaf_size"]) == ("0", "100000")
 
     def test_calibrate_times_the_planned_m(self, capsys, monkeypatch):
         timed = []

@@ -7,7 +7,7 @@ from scipy import integrate, stats
 
 from bloomsampletree.baselines import da_reconstruct, da_sample
 from bloomsampletree.bloom import build_filter
-from bloomsampletree.bst import BloomSampleTree
+from bloomsampletree.bst import BloomSampleTree, PlanError
 from bloomsampletree.estimate import fp_probability
 from bloomsampletree.evalkit import (
     CSV_HEADER,
@@ -298,6 +298,14 @@ class TestRunSweepChecksItsGrid:
                           trials=2, master_seed=123)
         setattr(cfg, key, value)
         with pytest.raises(ValueError, match=bad):
+            run_sweep(cfg)
+        assert builds == []
+
+    def test_unplannable_cell_rejected_before_any_build(self, builds):
+        # n = 50 plans and comes first; n = 5000 does not fit M = 2000
+        cfg = SweepConfig(algorithms=["bst"], namespace_sizes=[2000], set_sizes=[50, 5000],
+                          trials=2, master_seed=123)
+        with pytest.raises(PlanError, match="n_ref"):
             run_sweep(cfg)
         assert builds == []
 

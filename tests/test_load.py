@@ -330,6 +330,31 @@ class TestWriterAndLoaderCost:
         assert tree == _built()
 
 
+    def test_loader_makes_every_node_with_the_row_factory(self, monkeypatch):
+        data = _built().to_bytes()
+        calls = {"__init__": 0, "_row_view": 0}
+        init, row_view = BloomFilter.__init__, BloomFilter._row_view.__func__
+
+        def counted_init(self, *args, **kwargs):
+            calls["__init__"] += 1
+            init(self, *args, **kwargs)
+
+        def counted_row_view(cls, *args):
+            calls["_row_view"] += 1
+            return row_view(cls, *args)
+
+        monkeypatch.setattr(BloomFilter, "__init__", counted_init)
+        monkeypatch.setattr(BloomFilter, "_row_view", classmethod(counted_row_view))
+        tree = BloomSampleTree.from_bytes(data)
+        assert tree.node_count > 1
+        assert calls == {"__init__": 0, "_row_view": tree.node_count}
+
+    def test_checked_keyword_is_gone(self):
+        family = make_family(FamilyKind.MURMUR3, 3, 997, seed=2)
+        with pytest.raises(TypeError, match="checked"):
+            BloomFilter(family, M, checked=True)
+
+
 class TestQueryNamespace:
     @pytest.mark.parametrize("query_size", [M // 2, M + 1, 2 * M])
     def test_library_rejects_another_namespace(self, query_size):
