@@ -13,7 +13,7 @@ import enum
 import numpy as np
 
 # the HashInvert window is the smallest multiple of m that holds a scan chunk
-from .bloom import SCAN_CHUNK as _CHUNK, BloomFilter
+from .bloom import SCAN_CHUNK as _CHUNK, BloomFilter, check_query_namespace
 from .bst import OpCounters, SampleOutcome
 from .hashing import preimage
 
@@ -47,6 +47,7 @@ def da_sample(namespace_size: int, query: BloomFilter, rng=None) -> SampleOutcom
 
 def da_reconstruct(namespace_size: int, query: BloomFilter) -> tuple[np.ndarray, OpCounters]:
     """Exactly {x in [0, M) : contains(query, x)}; the correctness oracle."""
+    check_query_namespace(query, namespace_size)
     counters = OpCounters(membership_queries=namespace_size)
     return query.scan([(0, namespace_size)]), counters
 
@@ -61,6 +62,7 @@ def hi_sample(query: BloomFilter, namespace_size: int, rng=None) -> SampleOutcom
     """
     if not query.family.invertible:
         raise NotImplementedError("hi_sample needs a weakly invertible hash family")
+    check_query_namespace(query, namespace_size)
     rng = np.random.default_rng() if rng is None else rng
     counters = OpCounters()
     set_bits = query.set_bit_indices()
@@ -90,7 +92,7 @@ def hi_reconstruct(query: BloomFilter, namespace_size: int,
     """
     if not query.family.invertible:
         raise NotImplementedError("hi_reconstruct needs a weakly invertible hash family")
-    query.family.check_namespace(namespace_size)
+    check_query_namespace(query, namespace_size)
     if mode == ReconstructionMode.AUTO:
         mode = (ReconstructionMode.UNSET_BITS if query.popcount() > query.m / 2
                 else ReconstructionMode.SET_BITS)

@@ -477,8 +477,8 @@ class BloomSampleTree:
         the sibling.  A leaf yields a uniform pick among its positives.
         Each child estimate and leaf scan is computed once per call, and
         counted in the counters of the path that computed it.  Without
-        replacement, paths that find every reachable positive already taken
-        are dropped, so the list may be short.
+        replacement, a drawn element leaves its leaf's positives, and a path
+        that ends empty after a drained leaf is dropped: the list may be short.
         """
         if r < 1:
             raise ValueError("r must be >= 1")
@@ -487,9 +487,9 @@ class BloomSampleTree:
         rng = np.random.default_rng() if rng is None else rng
         nodes, plan, t1 = self.nodes, self.plan, query.popcount()
         depth, width, M = plan.depth, plan.leaf_size, plan.namespace_size
-        hits_of: dict = {}  # leaf j -> membership-positive elements of its range
+        hits_of: dict = {}  # leaf j -> membership-positive elements of its range not yet drawn
         ests: dict = {}     # (level, j) -> its children's estimates, None if pruned
-        used: Optional[dict] = None if with_replacement else {}  # leaf j -> taken hits
+        drained: set = set()  # leaves whose positives were all drawn
 
         def estimate(key) -> Optional[float]:
             """The child's estimate, None if pruned; one intersection if present."""
@@ -518,15 +518,14 @@ class BloomSampleTree:
                         hits = hits_of[j] = query.scan([(lo, hi)])
                         counters.membership_queries += max(0, hi - lo)
                         counters.leaves_scanned += 1
-                    if used is not None and hits.size:
-                        taken = used.setdefault(j, set())
-                        if taken:
-                            hits = hits[~np.isin(hits, list(taken))]
-                            blocked = blocked or not hits.size
+                    blocked = blocked or j in drained
                     if hits.size:
-                        element = int(hits[rng.integers(hits.size)])
-                        if used is not None:
-                            taken.add(element)
+                        i = rng.integers(hits.size)
+                        element = int(hits[i])
+                        if not with_replacement:
+                            hits_of[j] = np.delete(hits, i)
+                            if hits.size == 1:
+                                drained.add(j)
                         break
                     continue
                 left, right = (level + 1, 2 * j), (level + 1, 2 * j + 1)

@@ -175,7 +175,7 @@ def cmd_chi2(args) -> int:
         T = args.T
     else:
         if args.set is not None:
-            n = len([v for v in args.set.split(",") if v.strip()])
+            n = len({int(v) for v in args.set.split(",") if v.strip()})
         elif query.popcount() == query.m:
             raise ValueError("the query filter is saturated, so its population "
                              "cannot be estimated; give the rounds with -T")
@@ -247,10 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chi2", help="chi-squared uniformity report over tree samples")
     _add_query_args(p)
-    grp = p.add_mutually_exclusive_group()
-    grp.add_argument("-T", type=int, default=None, help="number of sampling rounds")
-    grp.add_argument("--auto-130n", action="store_true",
-                     help="use the recommended T = 130 n rounds")
+    p.add_argument("-T", type=int, default=None, help="sampling rounds (default 130 n)")
     p.set_defaults(func=cmd_chi2)
 
     p = sub.add_parser("bench", help="run a benchmark sweep config to CSV")

@@ -260,3 +260,25 @@ def test_hi_sample_uniform_over_preimage_positives():
     obs = np.array(list(counts.values()), dtype=float)
     qstat = float(np.sum((obs - 130.0) ** 2 / 130.0))
     assert stats.chi2.sf(qstat, n_pos - 1) > 0.08
+
+
+class TestNamespaceMismatch:
+    """DA and HI reject a query over another namespace, as the tree does."""
+
+    CALLS = {
+        "da_reconstruct": lambda q, M: da_reconstruct(M, q),
+        "da_sample": lambda q, M: da_sample(M, q, np.random.default_rng(0)),
+        "hi_sample": lambda q, M: hi_sample(q, M, np.random.default_rng(0)),
+        "hi_reconstruct": lambda q, M: hi_reconstruct(q, M),
+    }
+
+    @staticmethod
+    def query():
+        fam = make_family(FamilyKind.SIMPLE_LINEAR, 3, 997, seed=1)
+        return build_filter(fam, 1000, [5, 17, 400])
+
+    @pytest.mark.parametrize("M", [100, 999, 1001, 5000])
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_other_namespace_rejected(self, name, M):
+        with pytest.raises(ValueError, match=r"query filter is over \[0, 1000\)"):
+            self.CALLS[name](self.query(), M)

@@ -299,6 +299,15 @@ class TestSampleMany:
         got = sorted(o.element for o in outs)
         assert got == sorted(positives.tolist())
 
+    def test_without_replacement_drops_paths_past_exhaustion(self):
+        # once every leaf is drained the remaining paths are dropped, not NULL
+        tree, plan, fam = small_tree(M=2000, m=2000, leaf_ratio=8.0)
+        q = build_filter(fam, 2000, np.random.default_rng(29).choice(2000, 60, replace=False))
+        positives, _ = baselines.da_reconstruct(2000, q)
+        outs = tree.sample_many(q, 2 * positives.size, with_replacement=False,
+                                threshold=0.0, rng=np.random.default_rng(31))
+        assert sorted(o.element for o in outs) == sorted(positives.tolist())
+
     def test_rejects_nonpositive_r(self):
         tree, plan, fam = small_tree(M=16, leaf_ratio=2.0)
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 """End-to-end tests driving the command line interface in process."""
+import shlex
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from bloomsampletree import baselines
 from bloomsampletree.bloom import BloomFilter, build_filter
 from bloomsampletree.bst import BloomSampleTree, plan_from_accuracy
-from bloomsampletree.cli import DEFAULT_SEED, main
+from bloomsampletree.cli import DEFAULT_SEED, build_parser, main
 from bloomsampletree.evalkit import chi_squared_uniformity
 from bloomsampletree.hashing import FamilyKind, make_family
 
@@ -155,8 +157,7 @@ class TestChi2:
               "--family", "murmur3", "--pruned", str(occupied),
               "--out", str(tree_file)])
         code, out = run_cli(capsys, "chi2", "--tree", tree_file,
-                            "--set", ",".join(str(x) for x in members),
-                            "--auto-130n")
+                            "--set", ",".join(str(x) for x in members))
         assert code == 0
         lines = dict(line.split(" ", 1) for line in out.splitlines())
         assert int(lines["T"]) == 130 * 16
@@ -197,6 +198,19 @@ class TestChi2:
     def test_single_positive_rejected(self, small_tree_file):
         with pytest.raises(SystemExit):
             main(["chi2", "--tree", str(small_tree_file), "--set", "5", "-T", "10"])
+
+    @pytest.mark.parametrize("members", ["5,9", "5,5,5,9", "9, 5,9,5"])
+    def test_auto_rounds_count_distinct_elements(self, capsys, small_tree_file, members):
+        code, out = run_cli(capsys, "chi2", "--tree", small_tree_file, "--set", members,
+                            "--threshold", 0)
+        assert code == 0
+        assert out.splitlines()[0] == "T 260"
+
+    def test_auto_130n_is_gone(self, capsys, small_tree_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["chi2", "--tree", str(small_tree_file), "--set", "5,9", "--auto-130n"])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
 
 class TestBench:
@@ -383,3 +397,14 @@ def test_bench_bad_grid_exits_with_one_line_error(capsys, tmp_path, line):
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out_csv.exists()
+
+
+def test_readme_quick_start_parses():
+    # every documented command line must parse; nothing is run
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Quick start (CLI)", 1)[1].split("```sh\n", 1)[1]
+    lines = [l for l in block.split("```", 1)[0].splitlines()
+             if l.startswith("bloomsampletree ")]
+    parser = build_parser()
+    commands = {parser.parse_args(shlex.split(l)[1:]).command for l in lines}
+    assert commands == {"plan", "build", "sample", "reconstruct", "chi2", "bench"}
