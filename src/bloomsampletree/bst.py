@@ -150,11 +150,8 @@ def max_leaf_capacity(cost_ratio: float) -> int:
     """
     if not 0.0 < cost_ratio < math.inf:
         raise PlanError(f"cost_ratio must be finite and positive, got {cost_ratio}")
-    best = 1
-    if cost_ratio >= 2.0:
-        best = 2
     if cost_ratio < _leaf_ratio(3):
-        return best
+        return 1
     # N / log2(N) is increasing for N >= 3
     lo, hi = 3, _MAX_LEAF
     while lo < hi:
@@ -163,7 +160,7 @@ def max_leaf_capacity(cost_ratio: float) -> int:
             lo = mid
         else:
             hi = mid - 1
-    return max(best, lo)
+    return lo
 
 
 def _depth_and_leaf(namespace_size: int, cost_ratio: float) -> tuple[int, int]:
@@ -406,20 +403,18 @@ class BloomSampleTree:
         ``reconstruct`` uses, and raises ``ValueError`` naming the first bad
         ``(level, j)``.  ``from_bytes`` does not call it; the CLI does.
         """
+        zero = np.zeros((self.plan.m + 63) // 64, dtype=np.uint64)
+        words = {key: node.words for key, node in self.nodes.items()}
         levels: dict = {}
         for level, j in sorted(self.nodes):
             levels.setdefault(level, []).append(j)
         for level in range(self.plan.depth):
             for js in self._batches(levels.get(level, [])):
-                words = np.stack([self.nodes[(level, j)].words for j in js])
-                ors = np.zeros_like(words)
-                for side in (0, 1):
-                    rows = [r for r, j in enumerate(js)
-                            if (level + 1, 2 * j + side) in self.nodes]
-                    if rows:
-                        ors[rows] |= np.stack([self.nodes[(level + 1, 2 * js[r] + side)].words
-                                               for r in rows])
-                bad = np.flatnonzero((ors != words).any(axis=1))
+                # an absent child reads as the shared zero row
+                ors = np.stack([words.get((level + 1, 2 * j), zero) for j in js])
+                ors |= np.stack([words.get((level + 1, 2 * j + 1), zero) for j in js])
+                parents = np.stack([words[(level, j)] for j in js])
+                bad = np.flatnonzero((ors != parents).any(axis=1))
                 if bad.size:
                     raise ValueError(f"tree node {(level, js[bad[0]])} "
                                      "is not the OR of its children")

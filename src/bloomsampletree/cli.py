@@ -157,8 +157,7 @@ def cmd_reconstruct(args) -> int:
     elif args.algo == "da":
         elements, counters = baselines.da_reconstruct(M, query)
     else:
-        mode = baselines.ReconstructionMode(args.hi_mode)
-        elements, counters = baselines.hi_reconstruct(query, M, mode)
+        elements, counters = baselines.hi_reconstruct(query, M)
     for x in np.sort(elements):
         print(int(x))
     _print_counters(counters)
@@ -231,18 +230,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="draw samples from a query filter via the tree")
     _add_query_args(p)
     p.add_argument("-r", type=int, default=1)
-    rep = p.add_mutually_exclusive_group()
-    rep.add_argument("--with-replacement", dest="with_replacement",
-                     action="store_true", default=True)
-    rep.add_argument("--without-replacement", dest="with_replacement",
-                     action="store_false")
+    p.add_argument("--without-replacement", dest="with_replacement",
+                   action="store_false")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("reconstruct", help="recover the full positive set")
     _add_query_args(p)
     p.add_argument("--algo", choices=["bst", "da", "hi"], default="bst")
-    p.add_argument("--hi-mode", choices=["set", "unset", "auto"], default="auto",
-                   dest="hi_mode")
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("chi2", help="chi-squared uniformity report over tree samples")

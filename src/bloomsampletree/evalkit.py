@@ -428,6 +428,10 @@ def run_sweep(config: SweepConfig, progress=None) -> list[BenchRecord]:
         for name in names:
             if name not in known:
                 raise ValueError(f"unknown {axis} {name!r}")
+    if "hi" in config.algorithms:
+        for name in config.families:
+            if FAMILY_NAMES[name] != FamilyKind.SIMPLE_LINEAR:
+                raise ValueError(f"algorithm 'hi' needs the simple family, not {name!r}")
     if config.trials < 1:
         raise ValueError(f"trials must be >= 1, got {config.trials}")
     records = []

@@ -824,6 +824,85 @@ class TestVerify:
 
 
 
+def reference_verify(tree):
+    """Level by level, each side's present children gathered into a row
+    list and ORed into a zero matrix by fancy indexing."""
+    levels = {}
+    for level, j in sorted(tree.nodes):
+        levels.setdefault(level, []).append(j)
+    for level in range(tree.plan.depth):
+        for js in tree._batches(levels.get(level, [])):
+            words = np.stack([tree.nodes[(level, j)].words for j in js])
+            ors = np.zeros_like(words)
+            for side in (0, 1):
+                rows = [r for r, j in enumerate(js)
+                        if (level + 1, 2 * j + side) in tree.nodes]
+                if rows:
+                    ors[rows] |= np.stack([tree.nodes[(level + 1, 2 * js[r] + side)].words
+                                           for r in rows])
+            bad = np.flatnonzero((ors != words).any(axis=1))
+            if bad.size:
+                raise ValueError(f"tree node {(level, js[bad[0]])} "
+                                 "is not the OR of its children")
+
+
+def _verify_outcome(check, tree):
+    try:
+        check(tree)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _verify_trees():
+    """A full tree, a pruned one, and a pruned one over a ragged namespace
+    (M = 37 in leaves of 3) whose last parents have only a left child.
+    m = 100 leaves 28 padding bits in each node's second word."""
+    yield "full", small_tree(M=64, m=100)[0]
+    yield "pruned", small_tree(M=64, m=100, occupied=[1, 40])[0]
+    plan = plan_with_m(100, 37, 3, 2.0)
+    assert (plan.leaf_size, plan.padded_size) == (3, 48)
+    fam = make_family(FamilyKind.MD5, 3, 100, seed=1)
+    yield "ragged", BloomSampleTree.build_pruned(plan, fam, [0, 7, 36])
+
+
+class TestVerifyEqualsReference:
+    @pytest.mark.parametrize("case", ["full", "pruned", "ragged"])
+    def test_every_single_bit_flip(self, case):
+        tree = dict(_verify_trees())[case]
+        if case != "full":
+            assert any((level + 1, 2 * j + side) not in tree.nodes
+                       for level, j in tree.nodes if level < tree.plan.depth
+                       for side in (0, 1))
+        failures = 0
+        for node in tree.nodes.values():
+            for w in range(node.words.size):
+                for b in range(64):
+                    node.words[w] ^= np.uint64(1 << b)
+                    got = _verify_outcome(BloomSampleTree.verify, tree)
+                    assert got == _verify_outcome(reference_verify, tree)
+                    node.words[w] ^= np.uint64(1 << b)
+                    failures += got is not None
+        assert failures > 0
+        assert _verify_outcome(BloomSampleTree.verify, tree) is None
+
+    @pytest.mark.parametrize("rows", [None, 1, 3])
+    def test_every_single_node_deleted(self, monkeypatch, rows):
+        if rows is not None:
+            monkeypatch.setattr(bst, "_STACK_BYTES", 8 * 2 * rows)
+        failures = 0
+        for case, tree in _verify_trees():
+            for key in sorted(tree.nodes):
+                if key == (0, 0):
+                    continue
+                cut = BloomSampleTree(tree.plan, tree.family,
+                                      {k: v for k, v in tree.nodes.items() if k != key})
+                got = _verify_outcome(BloomSampleTree.verify, cut)
+                assert got == _verify_outcome(reference_verify, cut), (case, key)
+                failures += got is not None
+        assert failures > 0
+
+
 def reference_sample_many(tree, query, r, with_replacement=True,
                           threshold=bst.DEFAULT_THRESHOLD, rng=None):
     """Recursive depth-first sampler: at a node both of whose children
@@ -914,8 +993,10 @@ def reference_sample_many(tree, query, r, with_replacement=True,
 
 
 def _sampler_trees():
-    """``_reference_trees`` plus a full tree of the other two families, and a
-    tree whose two level-1 estimates are equal."""
+    """``_reference_trees`` plus a full tree of the other two families, a
+    tree whose two level-1 estimates are equal, and a saturated m = 64 tree
+    queried with its whole namespace, where many child estimates are
+    infinite."""
     yield from _reference_trees()
     plan = plan_from_accuracy(0.9, 200, 40_000, 3, 240.0)
     members = np.random.default_rng(12).choice(40_000, 150, replace=False)
@@ -924,6 +1005,13 @@ def _sampler_trees():
         yield f"full-{kind.name}", BloomSampleTree.build_full(plan, fam), members
     tree, _, _ = small_tree(M=8, m=4096, leaf_ratio=2.0)
     yield "tie", tree, [0, 4]
+    yield "saturated", _saturated_tree(), np.arange(4096)
+
+
+def _saturated_tree():
+    plan = plan_with_m(64, 4096, 3, 16.0)
+    assert plan.depth == 6
+    return BloomSampleTree.build_full(plan, make_family(FamilyKind.MURMUR3, 3, 64, seed=0))
 
 
 def _thresholds(tree, query):
@@ -938,7 +1026,7 @@ def _thresholds(tree, query):
 
 class TestIterativeSampler:
     @pytest.mark.parametrize("case", ["full", "pruned", "sparse", "ragged", "empty",
-                                      "full-MURMUR3", "full-MD5", "tie"])
+                                      "full-MURMUR3", "full-MD5", "tie", "saturated"])
     def test_equals_recursive_reference(self, case):
         _, tree, members = next(t for t in _sampler_trees() if t[0] == case)
         query = build_filter(tree.family, tree.plan.namespace_size, members)
@@ -978,6 +1066,22 @@ class TestIterativeSampler:
         assert len(calls) <= sum(o.counters.intersections for o in outs)
 
 
+    def test_saturated_case_meets_every_infinite_coin(self, monkeypatch):
+        tree = _saturated_tree()
+        query = build_filter(tree.family, 4096, np.arange(4096))
+        assert query.popcount() == query.m
+        pairs = set()
+        real = BloomSampleTree._left_probability
+
+        def spy(est_l, est_r):
+            pairs.add((math.isinf(est_l), math.isinf(est_r)))
+            return real(est_l, est_r)
+
+        monkeypatch.setattr(BloomSampleTree, "_left_probability", staticmethod(spy))
+        tree.sample_many(query, 200, True, 0.0, np.random.default_rng(1))
+        assert pairs == {(True, True), (True, False), (False, True), (False, False)}
+
+
 class TestNegativeThreshold:
     """No estimate is negative, so a negative threshold acts as 0."""
 
@@ -994,6 +1098,15 @@ class TestNegativeThreshold:
                                  np.random.default_rng(0))
         assert [o.element for o in below] == [o.element for o in at_zero]
         assert [o.counters for o in below] == [o.counters for o in at_zero]
+
+
+def test_leaf_capacity_equals_brute_force_below_100():
+    widths = np.arange(2, 1000)
+    ratios = np.array([n / math.log2(n) for n in widths.tolist()])
+    exact = ratios[ratios < 100].tolist()
+    for r in np.linspace(0.01, 100, 2001).tolist() + exact:
+        fits = widths[ratios <= r]
+        assert max_leaf_capacity(r) == (int(fits.max()) if fits.size else 1), r
 
 
 class TestPlannerRejectsWhatItCannotPlan:

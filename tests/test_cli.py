@@ -116,6 +116,19 @@ class TestSample:
                        "--set", "5,9,23", "-r", 10)
         assert a == b
 
+    def test_with_replacement_is_gone(self, capsys, small_tree_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["sample", "--tree", str(small_tree_file), "--set", "5,9",
+                  "--with-replacement"])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_without_replacement_draws_each_element_once(self, capsys, small_tree_file):
+        code, out = run_cli(capsys, "sample", "--tree", small_tree_file, "--set", "5,9,23",
+                            "-r", 3, "--threshold", 0, "--without-replacement")
+        assert code == 0
+        assert sorted(l for l in out.splitlines() if not l.startswith("#")) == ["23", "5", "9"]
+
     def test_missing_query_rejected(self, small_tree_file):
         with pytest.raises(SystemExit):
             main(["sample", "--tree", str(small_tree_file)])
@@ -143,6 +156,28 @@ class TestReconstruct:
                          "--set", "23,5,9", "--threshold", 0)
         values = [int(l) for l in out.splitlines() if not l.startswith("#")]
         assert values == sorted(values)
+
+
+    @pytest.mark.parametrize("members", [[5, 9, 23], range(1000)])
+    def test_hi_prints_da_elements_at_any_density(self, capsys, small_tree_file, members):
+        tree = BloomSampleTree.load(small_tree_file)
+        query = build_filter(tree.family, 1000, members)
+        dense = query.popcount() > query.m / 2
+        assert dense == (len(members) == 1000)
+        expect = [str(x) for x in baselines.da_reconstruct(1000, query)[0]]
+        args = ["reconstruct", "--tree", small_tree_file,
+                "--set", ",".join(map(str, members)), "--threshold", 0]
+        for algo in ("hi", "da"):
+            code, out = run_cli(capsys, *args, "--algo", algo)
+            assert code == 0
+            assert [l for l in out.splitlines() if not l.startswith("#")] == expect
+
+    def test_hi_mode_is_gone(self, capsys, small_tree_file):
+        with pytest.raises(SystemExit) as exc:
+            main(["reconstruct", "--tree", str(small_tree_file), "--set", "5,9",
+                  "--algo", "hi", "--hi-mode", "set"])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
 
 class TestChi2:

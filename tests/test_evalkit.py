@@ -1,5 +1,6 @@
 """Tests for query-set generators, chi-squared testing, and sweeps."""
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,6 +232,42 @@ seed = 42
         cfg = SweepConfig.parse("version = 1\n# a comment\n\nk = 4\n")
         assert cfg.k == 4
 
+    def test_every_key_in_either_form(self):
+        cfg = SweepConfig.parse("""
+version 1
+algorithms = bst, hi
+M 5000, 20000
+n = 10,20
+accuracy 0.5
+families = simple
+shapes clustered
+k = 5
+cost_ratio 12.5
+threshold = 0.25
+trials 9
+seed = 77
+p 3.5
+""")
+        assert cfg == SweepConfig(algorithms=["bst", "hi"], namespace_sizes=[5000, 20000],
+                                  set_sizes=[10, 20], accuracies=[0.5], families=["simple"],
+                                  shapes=["clustered"], k=5, cost_ratio=12.5,
+                                  threshold=0.25, trials=9, master_seed=77,
+                                  clustering_percent=3.5)
+        defaults = SweepConfig()
+        assert all(getattr(cfg, f) != getattr(defaults, f)
+                   for f in SweepConfig.__dataclass_fields__ if f != "families")
+
+    def test_readme_block_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("A sweep config is a versioned key/value file:", 1)[1]
+        block = block.split("```\n", 2)[1]
+        keys = {line.replace("=", " ").split()[0] for line in block.splitlines()
+                if line.split("#", 1)[0].strip()}
+        assert keys == {"version", "algorithms", "M", "n", "accuracy", "families",
+                        "shapes", "k", "cost_ratio", "threshold", "trials", "seed", "p"}
+        cfg = SweepConfig.parse(block)
+        assert set(cfg.algorithms) <= {"bst", "da", "hi"}
+
 
 class TestRunSweep:
     def _config(self, **kw):
@@ -259,6 +296,14 @@ class TestRunSweep:
             assert (ra.algorithm, ra.intersections, ra.membership,
                     ra.nodes) == (rb.algorithm, rb.intersections, rb.membership,
                                   rb.nodes)
+
+    def test_hi_on_the_simple_family_writes_a_record(self, tmp_path):
+        records = run_sweep(self._config(algorithms=["hi"]))
+        assert len(records) == 1
+        assert records[0].membership > 0 and records[0].intersections == 0
+        out = tmp_path / "sweep.csv"
+        write_csv(records, out)
+        assert out.read_text().splitlines()[1].startswith("hi,10000,200,0.9,simple,uniform,")
 
     def test_csv_output(self, tmp_path):
         records = run_sweep(self._config(algorithms=["da"]))
@@ -298,6 +343,14 @@ class TestRunSweepChecksItsGrid:
                           trials=2, master_seed=123)
         setattr(cfg, key, value)
         with pytest.raises(ValueError, match=bad):
+            run_sweep(cfg)
+        assert builds == []
+
+    @pytest.mark.parametrize("family", ["murmur3", "md5"])
+    def test_hi_needs_the_simple_family(self, builds, family):
+        cfg = SweepConfig(algorithms=["bst", "hi"], families=["simple", family],
+                          namespace_sizes=[20000], set_sizes=[100], trials=5)
+        with pytest.raises(ValueError, match=f"'hi'.*{family}"):
             run_sweep(cfg)
         assert builds == []
 
