@@ -27,6 +27,8 @@ _LOW6 = np.uint64(63)
 # measured slower than chunks of this size.
 SCAN_CHUNK = 1 << 16
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+# Default of ``scan``'s ``_bits``: the scan decides ``_bits_for`` itself.
+_UNDECIDED = object()
 
 
 def _exact_int(v) -> int:
@@ -96,6 +98,24 @@ def filter_rows(family: HashFamily, arrays: list,
             idx += offsets
         bitmap[idx] = True
     return np.packbits(bitmap, bitorder="little").view(np.uint64).reshape(-1, n_words)
+
+
+def _chunks(ranges):
+    """The elements of the disjoint [lo, hi) ``ranges``, in order, cut into
+    chunks of ``SCAN_CHUNK`` (the last one shorter); each chunk is a list of
+    ``arange`` pieces, one per range that it meets."""
+    pieces, size = [], 0
+    for lo, hi in ranges:
+        while lo < hi:
+            stop = min(hi, lo + SCAN_CHUNK - size)
+            pieces.append(np.arange(lo, stop, dtype=np.int64))
+            size += stop - lo
+            lo = stop
+            if size == SCAN_CHUNK:
+                yield pieces
+                pieces, size = [], 0
+    if pieces:
+        yield pieces
 
 
 def word_masks(family: HashFamily, x: int) -> dict:
@@ -294,29 +314,37 @@ class BloomFilter:
             xs = xs[self._probe(i, xs, bits)]
         return xs
 
-    def scan(self, ranges) -> np.ndarray:
+    def scan(self, ranges, _bits=_UNDECIDED) -> np.ndarray:
         """Ascending elements of the ascending, disjoint [lo, hi) ``ranges``
         that the filter contains.
 
-        Abutting ranges are merged and each merged range is probed in chunks
-        of ``SCAN_CHUNK`` elements, one ``_scan_chunk`` call per chunk, with
-        an early exit per element; the bits are unpacked at most once per
-        scan.
+        A range with hi <= lo is empty and skipped.  Any other range outside
+        [0, namespace_size), or starting before the one before it ends,
+        raises ValueError.  Abutting ranges are merged, and the elements of
+        all ranges are probed in chunks of ``SCAN_CHUNK``, one
+        ``_scan_chunk`` call per chunk, so short ranges share a call.  The
+        bits are unpacked at most once per scan; ``_bits`` is for a caller
+        that scans many ranges one call at a time and decided ``_bits_for``
+        once for all of them.
         """
         merged: list = []
         for lo, hi in ranges:
             if hi <= lo:
                 continue
+            if lo < 0 or hi > self.namespace_size:
+                raise ValueError(f"scan range [{lo}, {hi}) is outside the "
+                                 f"namespace [0, {self.namespace_size})")
+            if merged and lo < merged[-1][1]:
+                raise ValueError(f"scan range [{lo}, {hi}) starts before "
+                                 f"the range before it ends at {merged[-1][1]}")
             if merged and merged[-1][1] == lo:
                 merged[-1][1] = hi
             else:
                 merged.append([lo, hi])
-        bits = self._bits_for(sum(hi - lo for lo, hi in merged))
-        parts = []
-        for lo, hi in merged:
-            for start in range(lo, hi, SCAN_CHUNK):
-                xs = np.arange(start, min(start + SCAN_CHUNK, hi), dtype=np.int64)
-                parts.append(self._scan_chunk(xs, bits=bits))
+        if _bits is _UNDECIDED:
+            _bits = self._bits_for(sum(hi - lo for lo, hi in merged))
+        parts = [self._scan_chunk(p[0] if len(p) == 1 else np.concatenate(p), bits=_bits)
+                 for p in _chunks(merged)]
         return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
     def _check_compatible(self, other: "BloomFilter"):

@@ -308,6 +308,24 @@ class TestSampleMany:
                                 threshold=0.0, rng=np.random.default_rng(31))
         assert sorted(o.element for o in outs) == sorted(positives.tolist())
 
+    @pytest.mark.parametrize("with_replacement", [True, False])
+    def test_unpacks_the_query_once_per_call(self, monkeypatch, with_replacement):
+        M = 10**6
+        plan = plan_from_accuracy(0.9, 1000, M, 3, 240.0)
+        assert (plan.m, plan.depth, plan.leaf_size) == (60_870, 9, 1954)
+        fam = make_family(FamilyKind.MURMUR3, 3, plan.m, seed=1)
+        tree = BloomSampleTree.build_full(plan, fam)
+        query = build_filter(fam, M, np.random.default_rng(4).choice(M, 1000, replace=False))
+        unpacks = []
+        unpackbits = np.unpackbits
+        monkeypatch.setattr(np, "unpackbits",
+                            lambda *a, **kw: unpacks.append(1) or unpackbits(*a, **kw))
+        outs = tree.sample_many(query, 200, with_replacement=with_replacement,
+                                rng=np.random.default_rng(5))
+        assert sum(o.counters.leaves_scanned for o in outs) > 50
+        assert len(unpacks) == 1
+        assert all(query.contains(o.element) for o in outs)
+
     def test_rejects_nonpositive_r(self):
         tree, plan, fam = small_tree(M=16, leaf_ratio=2.0)
         with pytest.raises(ValueError):
@@ -749,6 +767,84 @@ class TestLevelWalkReconstruct:
                 stacked.clear()
                 tree.verify()
                 assert max(stacked, default=0) <= rows
+
+
+class TestPrefixPass:
+    """At threshold 0 a node's AND is tested on its first ``_PREFIX_WORDS``
+    words, and on the rest of its row only where those are empty."""
+
+    @staticmethod
+    def _tree(m, bits, unset):
+        """A depth-2 murmur3 tree over [0, 4,000) whose node (level, j) sets
+        exactly the bits ``bits[(level, j)]``, and a query that sets every
+        bit outside the words ``unset``, so its leaves have positives."""
+        plan = plan_with_m(m, 4000, 3, 120.0)
+        assert plan.depth == 2
+        fam = make_family(FamilyKind.MURMUR3, 3, m, seed=6)
+
+        def flt(positions):
+            words = np.zeros((m + 63) // 64, dtype=np.uint64)
+            for b in positions:
+                words[b >> 6] |= np.uint64(1) << np.uint64(b & 63)
+            return BloomFilter(fam, 4000, words=words)
+
+        query = flt([b for b in range(m) if b >> 6 not in unset])
+        return BloomSampleTree(plan, fam, {key: flt(b) for key, b in bits.items()}), query
+
+    @staticmethod
+    def _reconstruct(monkeypatch, tree, query):
+        """``tree.reconstruct(query, 0.0)``, checked against the recursive
+        reference, and the shapes of the arrays it stacked."""
+        shapes = []
+        stack = np.stack
+        monkeypatch.setattr(np, "stack", lambda arrays, *a, **kw: shapes.append(
+            (len(arrays), len(arrays[0]))) or stack(arrays, *a, **kw))
+        found, counters = tree.reconstruct(query, 0.0)
+        monkeypatch.setattr(np, "stack", stack)
+        ref, ref_counters = reference_reconstruct(tree, query, 0.0)
+        assert np.array_equal(found, ref) and counters == ref_counters
+        return found, counters, shapes
+
+    def test_empty_prefix_and_nonempty_rest_survives(self, monkeypatch):
+        w = bst._PREFIX_WORDS
+        m, late = 64 * (w + 8), 64 * (w + 4)  # ``late`` lies past the prefix
+        tree, query = self._tree(m, {
+            (0, 0): [130, late],
+            (1, 0): [late],                   # prefix AND empty, rest not: survives
+            (1, 1): [3 * 64, late + 64],      # AND empty everywhere: pruned
+            (2, 0): [late], (2, 1): [130],
+            (2, 2): [130, late], (2, 3): [late]},  # below the pruned node
+            unset=(3, w + 5))
+        found, counters, shapes = self._reconstruct(monkeypatch, tree, query)
+        assert counters.intersections == 5 and counters.leaves_scanned == 2
+        assert 0 < found.size and found.max() < 2000
+        # per level a prefix stack, then the rest of the rows whose prefix was empty
+        assert shapes == [(1, w), (2, w), (2, m // 64 - w), (2, w), (1, m // 64 - w)]
+
+    def test_prefix_is_the_whole_row(self, monkeypatch):
+        m = 64 * bst._PREFIX_WORDS - 20
+        n_words = (m + 63) // 64
+        tree, query = self._tree(m, {
+            (0, 0): [5, 70, m - 1], (1, 0): [70], (1, 1): [m - 1],
+            (2, 2): [m - 1], (2, 3): [70]}, unset=(1,))
+        found, counters, shapes = self._reconstruct(monkeypatch, tree, query)
+        assert counters.intersections == 5 and counters.leaves_scanned == 1
+        assert 0 < found.size and 2000 <= found.min() <= found.max() < 3000
+        assert shapes == [(1, n_words), (2, n_words), (2, n_words)]
+
+    @pytest.mark.parametrize("prefix", ["one word", "whole row"])
+    def test_reference_trees_at_either_end(self, monkeypatch, prefix):
+        w = bst._PREFIX_WORDS
+        for case, tree, members in _reference_trees():
+            n_words = (tree.plan.m + 63) // 64
+            assert n_words > w
+            monkeypatch.setattr(bst, "_PREFIX_WORDS", 1 if prefix == "one word" else n_words)
+            query = build_filter(tree.family, tree.plan.namespace_size, members)
+            for threshold in (0.0, -1.0):
+                found, counters = tree.reconstruct(query, threshold)
+                ref, ref_counters = reference_reconstruct(tree, query, 0.0)
+                assert np.array_equal(found, ref), (case, prefix)
+                assert counters == ref_counters, (case, prefix)
 
 
 class TestNanThreshold:

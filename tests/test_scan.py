@@ -40,7 +40,7 @@ class TestScanMatchesReference:
         flt = BloomFilter(make_family(kind, 3, 1009, seed=4), self.M)
         n = sum(hi - lo for lo, hi in self.RANGES)
         assert flt.scan(self.RANGES).tolist() == _reference(flt, self.RANGES) == []
-        assert sum(hashed) == n and len(hashed) == 3  # h_0 of each merged range only
+        assert sum(hashed) == n and len(hashed) == 1  # h_0 of one shared chunk only
 
     def test_all_ones_filter_never_exits(self, kind, hashed):
         fam = make_family(kind, 3, 1009, seed=4)
@@ -56,10 +56,28 @@ class TestScanMatchesReference:
         flt = build_filter(fam, self.M, rng.choice(self.M, 60, replace=False))
         ranges = [(lo, lo + 40) for lo in range(0, self.M, 400)]
         hashed.clear()
-        got = flt.scan(ranges)
-        assert got.tolist() == _reference(flt, ranges)
+        # one scan per range: all 2,000 elements would share one chunk
+        got = [x for r in ranges for x in flt.scan([r]).tolist()]
+        assert got == _reference(flt, ranges)
         # 40 elements at a density of about 0.16 leave a few after h_0
         assert any(0 < size < hashing._SCALAR_MAX_SIZE for size in hashed)
+
+
+@pytest.mark.parametrize("ranges, message", [
+    ([(100, 120), (0, 20)], "starts before"),     # descending
+    ([(0, 20), (10, 30)], "starts before"),       # overlapping
+    ([(-20, 3)], "outside the namespace"),
+    ([(10_000 - 10, 10_000 + 30)], "outside the namespace"),
+])
+def test_scan_rejects_ranges_it_cannot_answer(ranges, message):
+    fam = make_family(FamilyKind.MURMUR3, 3, 4001, seed=3)
+    flt = build_filter(fam, 10_000, np.random.default_rng(8).choice(10_000, 900, replace=False))
+    with pytest.raises(ValueError, match=message):
+        flt.scan(ranges)
+    # empty ranges are skipped wherever they lie, as reconstruct's padding leaves
+    skipped = [(-5, -5), (30, 20), (10_050, 10_000)]
+    assert np.array_equal(flt.scan(skipped + [(0, 20)] + skipped + [(20, 40)]),
+                          flt.scan([(0, 40)]))
 
 
 @pytest.mark.parametrize("kind", FAMILIES)
