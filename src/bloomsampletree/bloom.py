@@ -19,7 +19,10 @@ __all__ = ["BloomFilter", "FamilyMismatchError", "as_elements", "check_query_nam
 
 _MAGIC = b"BFLT"
 _VERSION = 1
-_COUNT_ABSENT = (1 << 64) - 1
+# The v1 block has a reserved u64 after M, written as 2^64 - 1 and ignored
+# when read: releases that kept an element count there read this value as
+# "no count", so files pass both ways.
+_RESERVED = (1 << 64) - 1
 
 _ONE = np.uint64(1)
 _LOW6 = np.uint64(63)
@@ -149,17 +152,12 @@ def check_query_namespace(query: "BloomFilter", namespace_size: int) -> None:
 
 
 class BloomFilter:
-    """m-bit filter bound to a hash family and a namespace bound.
+    """m-bit filter bound to a hash family and a namespace bound."""
 
-    ``inserted_count`` is advisory: it is tracked for locally built
-    filters and ``None`` for foreign ones; no estimator depends on it.
-    """
-
-    __slots__ = ("family", "namespace_size", "words", "inserted_count", "_popcount")
+    __slots__ = ("family", "namespace_size", "words", "_popcount")
 
     def __init__(self, family: HashFamily, namespace_size: int,
-                 words: Optional[np.ndarray] = None,
-                 inserted_count: Optional[int] = 0):
+                 words: Optional[np.ndarray] = None):
         family.check_namespace(namespace_size)
         self.family = family
         self.namespace_size = int(namespace_size)
@@ -170,12 +168,11 @@ class BloomFilter:
             if len(words) != n_words:
                 raise ValueError("word array length does not match m")
             self.words = np.asarray(words, dtype=np.uint64)
-        self.inserted_count = inserted_count
         self._popcount = None
 
     @classmethod
-    def _row_view(cls, family: HashFamily, namespace_size: int, words: np.ndarray,
-                  inserted_count: Optional[int]) -> "BloomFilter":
+    def _row_view(cls, family: HashFamily, namespace_size: int,
+                  words: np.ndarray) -> "BloomFilter":
         """A filter that holds ``words`` as given, one uint64 row of
         ``(m + 63) // 64`` words, with no checks: for tree builders and
         loaders, which check the namespace and the row width once per tree
@@ -184,7 +181,6 @@ class BloomFilter:
         flt.family = family
         flt.namespace_size = namespace_size
         flt.words = words
-        flt.inserted_count = inserted_count
         flt._popcount = None
         return flt
 
@@ -214,7 +210,7 @@ class BloomFilter:
 
     def insert_masks(self, masks: dict) -> None:
         """Insert one element given its ``word_masks``: OR each mask into its
-        word with Python integers and count the element.
+        word with Python integers.
 
         A read-only view is copied on the first write, which raises before
         it changes anything.  The try costs nothing until it raises, where
@@ -229,8 +225,6 @@ class BloomFilter:
                     raise
                 words = self._own_words()
                 words[w] = int(words[w]) | mask
-        if self.inserted_count is not None:
-            self.inserted_count += 1
         self._popcount = None
 
     def insert_many(self, xs: Iterable[int]) -> None:
@@ -247,8 +241,6 @@ class BloomFilter:
             raise ValueError("element outside declared namespace")
         words = self._own_words()
         words |= filter_rows(self.family, [xs])[0]
-        if self.inserted_count is not None:
-            self.inserted_count += int(xs.size)
         self._popcount = None
 
     def contains(self, x: int) -> bool:
@@ -353,16 +345,13 @@ class BloomFilter:
 
     def union(self, other: "BloomFilter") -> "BloomFilter":
         self._check_compatible(other)
-        out = BloomFilter(self.family, max(self.namespace_size, other.namespace_size),
-                          words=self.words | other.words, inserted_count=None)
-        if self.inserted_count is not None and other.inserted_count is not None:
-            out.inserted_count = self.inserted_count + other.inserted_count
-        return out
+        return BloomFilter(self.family, max(self.namespace_size, other.namespace_size),
+                           words=self.words | other.words)
 
     def intersect(self, other: "BloomFilter") -> "BloomFilter":
         self._check_compatible(other)
         return BloomFilter(self.family, min(self.namespace_size, other.namespace_size),
-                           words=self.words & other.words, inserted_count=None)
+                           words=self.words & other.words)
 
     def popcount(self) -> int:
         if self._popcount is None:
@@ -382,9 +371,7 @@ class BloomFilter:
         return np.nonzero(~bits.astype(bool))[0].astype(np.int64)
 
     def copy(self) -> "BloomFilter":
-        return BloomFilter(self.family, self.namespace_size,
-                           words=self.words.copy(),
-                           inserted_count=self.inserted_count)
+        return BloomFilter(self.family, self.namespace_size, words=self.words.copy())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BloomFilter):
@@ -400,37 +387,39 @@ class BloomFilter:
     # serialization -----------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        count = self.inserted_count if self.inserted_count is not None else _COUNT_ABSENT
         return b"".join([
             _MAGIC,
             bytes([_VERSION]),
             self.family.to_bytes(),
-            struct.pack("<QQQ", self.m, self.namespace_size, count),
+            struct.pack("<QQQ", self.m, self.namespace_size, _RESERVED),
             self.words.astype("<u8", copy=False).tobytes(),
         ])
 
     @classmethod
     def from_bytes(cls, data: bytes, offset: int = 0) -> tuple["BloomFilter", int]:
-        """Parse one filter block; malformed or truncated input raises ValueError."""
-        if data[offset:offset + 4] != _MAGIC:
+        """Parse one filter block; malformed input raises ValueError, and
+        input cut at any length raises it as a truncated block.  The
+        reserved field is read past and ignored."""
+        if not _MAGIC.startswith(data[offset:offset + 4]):  # a cut magic is truncated
             raise ValueError("bad magic: not a Bloom filter block")
         try:
             if data[offset + 4] != _VERSION:
                 raise ValueError(f"unsupported filter version {data[offset + 4]}")
             family, offset = HashFamily.from_bytes(data, offset + 5)
-            m, namespace_size, count = struct.unpack_from("<QQQ", data, offset)
+            m, namespace_size, _ = struct.unpack_from("<QQQ", data, offset)
         except (IndexError, struct.error):
             raise ValueError("truncated Bloom filter block") from None
         offset += 24
         if m != family.m:
             raise ValueError("inconsistent m in filter block")
         n_words = (m + 63) // 64
+        if len(data) < offset + 8 * n_words:
+            raise ValueError("truncated Bloom filter block")
         words = np.frombuffer(data, dtype="<u8", count=n_words, offset=offset).copy()
         offset += n_words * 8
         if words[-1] & tail_mask(m):
             raise ValueError(f"filter block sets a bit at or past m = {m}")
-        inserted = None if count == _COUNT_ABSENT else int(count)
-        return cls(family, namespace_size, words=words, inserted_count=inserted), offset
+        return cls(family, namespace_size, words=words), offset
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:

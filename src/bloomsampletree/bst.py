@@ -273,17 +273,20 @@ def _check_index(levels: np.ndarray, js: np.ndarray, depth: int) -> None:
         raise ValueError("tree nodes not in ascending (level, j) order")
 
 
-def _ands_nonempty(rows: list, words: np.ndarray) -> list:
+def _ands_nonempty(rows: list, words: np.ndarray, w: int) -> list:
     """Per word row of ``rows``, each as long as ``words``, whether its AND
     with ``words`` sets any bit.
 
-    The first ``_PREFIX_WORDS`` words of every row are ANDed in one stack;
-    only the rows whose prefix AND is empty get the rest of their words
-    stacked and tested.  Nothing is popcounted.
+    The first ``w`` words of every row are ANDed in one stack; only the
+    rows whose prefix AND is empty get the rest of their words stacked and
+    tested, so with ``w = 0`` every full row is stacked once.  Nothing is
+    popcounted.
     """
-    w = _PREFIX_WORDS
-    head = np.stack([row[:w] for row in rows])
-    hit = np.bitwise_and(head, words[:w], out=head).any(axis=1)
+    if w:
+        head = np.stack([row[:w] for row in rows])
+        hit = np.bitwise_and(head, words[:w], out=head).any(axis=1)
+    else:
+        hit = np.zeros(len(rows), dtype=bool)
     rest = np.flatnonzero(~hit)
     if rest.size and words.size > w:
         tail = np.stack([rows[i][w:] for i in rest.tolist()])
@@ -326,8 +329,7 @@ class BloomSampleTree:
         leaf matrix.  Every element is hashed exactly once, into its leaf.
         Each level above is one OR of two gathered rows per parent, its
         first and last present child (the same row for an only child).
-        Nodes are row views of their level's matrix, and a node's
-        ``inserted_count`` is the sum of its children's.
+        Nodes are row views of their level's matrix.
         """
         plan, family = self.plan, self.family
         if not js.size:
@@ -336,12 +338,10 @@ class BloomSampleTree:
         step = max(1, _BUILD_BATCH_BYTES // (64 * n_words))
         bitmap = np.empty(min(step, js.size) * 64 * n_words, dtype=bool)
         words = np.empty((js.size, n_words), dtype=np.uint64)
-        counts = np.empty(js.size, dtype=np.int64)
         arrays = iter(arrays)
         for start in range(0, js.size, step):
             batch = list(islice(arrays, step))
             words[start:start + len(batch)] = filter_rows(family, batch, bitmap)
-            counts[start:start + len(batch)] = [xs.size for xs in batch]
         node = partial(BloomFilter._row_view, family, int(plan.namespace_size))
         for level in range(plan.depth, -1, -1):
             if level < plan.depth:
@@ -350,10 +350,9 @@ class BloomSampleTree:
                 last = np.append(first[1:], js.size) - 1
                 up = words[first]
                 words = np.bitwise_or(up, words[last], out=up)
-                counts = np.add.reduceat(counts, first)
                 js = parents[first]
             self.nodes.update(zip(zip(repeat(level), js.tolist()),
-                                  map(node, words, counts.tolist())))
+                                  map(node, words)))
         return self
 
     @classmethod
@@ -586,12 +585,15 @@ class BloomSampleTree:
         which never discard a positive, so the result equals a full
         dictionary scan of the covered namespace.  A threshold <= 0 computes
         no estimate and no popcount: a node's AND is tested on its first
-        ``_PREFIX_WORDS`` words, and on the rest only where those are empty.
+        ``_PREFIX_WORDS`` words, and on the rest only where those are empty;
+        a query that sets no bit in those words has every full row tested
+        at once, since each prefix AND would be empty.
         """
         threshold = _check_threshold(threshold)
         self._check_query(query)
         counters = OpCounters()
         plan, t1 = self.plan, query.popcount()
+        prefix = _PREFIX_WORDS if query.words[:_PREFIX_WORDS].any() else 0
         frontier = [0]
         for level in range(plan.depth + 1):
             if level:
@@ -606,7 +608,8 @@ class BloomSampleTree:
             for batch in self._batches(present):
                 if threshold <= 0:
                     # an estimate is >= 0, -0.0 or inf: only an empty AND prunes
-                    hit = _ands_nonempty([node.words for _, node in batch], query.words)
+                    hit = _ands_nonempty([node.words for _, node in batch], query.words,
+                                         prefix)
                     frontier += [j for (j, _), h in zip(batch, hit) if h]
                     continue
                 stack = np.stack([node.words for _, node in batch])
@@ -668,8 +671,7 @@ class BloomSampleTree:
             raise ValueError(f"tree node {keys[bad[0]]} sets a bit at or past m = {plan.m}")
         # the tree has checked the namespace, and the file size fixes the row width
         tree.nodes = dict(zip(keys, map(partial(BloomFilter._row_view, family,
-                                                plan.namespace_size),
-                                        words, repeat(None))))
+                                                plan.namespace_size), words)))
         return tree
 
     def save(self, path) -> None:

@@ -12,7 +12,7 @@ import sys
 import numpy as np
 
 from .bloom import BloomFilter, build_filter, check_query_namespace
-from .bst import (BloomSampleTree, plan_from_accuracy, plan_with_m,
+from .bst import (BloomSampleTree, OpCounters, plan_from_accuracy, plan_with_m,
                   DEFAULT_COST_RATIO, DEFAULT_THRESHOLD)
 from .estimate import fp_probability, population_estimate
 from .hashing import FAMILY_NAMES, make_family
@@ -136,15 +136,11 @@ def cmd_sample(args) -> int:
     rng = np.random.default_rng(args.seed)
     outcomes = tree.sample_many(query, args.r, args.with_replacement,
                                 args.threshold, rng)
-    totals = None
+    totals = OpCounters()
     for out in outcomes:
         print("NULL" if out.element is None else out.element)
-        if totals is None:
-            totals = out.counters
-        else:
-            totals.merge(out.counters)
-    if totals is not None:
-        _print_counters(totals)
+        totals.merge(out.counters)
+    _print_counters(totals)
     return 0
 
 

@@ -1,5 +1,6 @@
 """Tests for the Bloom filter value type."""
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -8,6 +9,18 @@ from bloomsampletree import bloom, hashing
 from bloomsampletree.bloom import BloomFilter, FamilyMismatchError, build_filter
 from bloomsampletree.estimate import fp_probability
 from bloomsampletree.hashing import FamilyKind, HashFamily, make_family, hash_value
+
+
+# A v1 block as earlier releases wrote it, with the element count 300 in
+# the reserved field: murmur3, k = 3, m = 1,000, seed 2, M = 3,000, the
+# elements 0, 10, ..., 2,990.
+COUNTED_BLOCK = (
+    "42464c5401010300e8030000000000000200000000000000177c4a7fb979379e"
+    "28f894fe72f36e3ce803000000000000b80b0000000000002c01000000000000"
+    "f2b71ad0bf3cc18fcc5bea36f7df09aa78d97ffddff475af6f5f3b204fd2e936"
+    "ef73afc975e38cda8f567c2ddf9fce93e62bd99f76efabf16cc311fc8d19315c"
+    "39e18b59167f3ffd15714daf5d6eadd3efef45de1f7b569a6d1121a278934ce8"
+    "a7a8dcd6d9932bfe5578c7d8f06a7c15977fde65fbddecaea33abcd17a000000")
 
 
 def identity_family(m=10, k=1):
@@ -70,7 +83,6 @@ class TestInsertContains:
         for x in xs:
             loop.insert(int(x))
         assert bulk == loop
-        assert bulk.inserted_count == loop.inserted_count == 300
 
     def test_contains_many_matches_scalar(self):
         fam = make_family(FamilyKind.MURMUR3, 3, 1000, seed=3)
@@ -136,8 +148,7 @@ class TestSetAlgebra:
 
     def test_intersect_idempotent(self):
         f = build_filter(self.fam, 100, [5, 9, 23])
-        assert f.intersect(f) == BloomFilter(self.fam, 100, words=f.words.copy(),
-                                             inserted_count=None)
+        assert f.intersect(f) == BloomFilter(self.fam, 100, words=f.words.copy())
 
     def test_intersection_subset_of_bits(self):
         a = build_filter(self.fam, 100, [1, 2])
@@ -172,15 +183,25 @@ class TestSerialization:
             f = build_filter(fam, 4000, range(0, 4000, 101))
             back, consumed = BloomFilter.from_bytes(f.to_bytes())
             assert back == f
-            assert back.inserted_count == f.inserted_count
             assert back.family == fam
             assert consumed == len(f.to_bytes())
 
-    def test_absent_count_sentinel(self):
-        fam = make_family(FamilyKind.MURMUR3, 2, 64, seed=0)
-        f = BloomFilter(fam, 10, inserted_count=None)
-        back, _ = BloomFilter.from_bytes(f.to_bytes())
-        assert back.inserted_count is None
+    def test_reserved_field_written_as_all_ones(self):
+        for kind in FamilyKind:
+            fam = make_family(kind, 2, 64, seed=0)
+            data = build_filter(fam, 10, [1, 2, 3]).to_bytes()
+            at = 5 + len(fam.to_bytes()) + 16  # magic, version, family, m, M
+            assert struct.unpack_from("<Q", data, at) == ((1 << 64) - 1,)
+
+    def test_block_with_an_element_count_loads(self):
+        data = bytes.fromhex(COUNTED_BLOCK)
+        fam = make_family(FamilyKind.MURMUR3, 3, 1000, seed=2)
+        at = 5 + len(fam.to_bytes()) + 16
+        assert struct.unpack_from("<Q", data, at) == (300,)
+        back, end = BloomFilter.from_bytes(data)
+        assert end == len(data)
+        assert back == build_filter(fam, 3000, range(0, 3000, 10))
+        assert back.to_bytes() == data[:at] + b"\xff" * 8 + data[at + 8:]
 
     def test_file_round_trip(self, tmp_path):
         fam = make_family(FamilyKind.SIMPLE_LINEAR, 3, 101, seed=21)
@@ -197,7 +218,7 @@ class TestSerialization:
         for kind in (FamilyKind.SIMPLE_LINEAR, FamilyKind.MURMUR3):
             blob = build_filter(make_family(kind, 3, 130, seed=2), 1000, [4, 6]).to_bytes()
             for cut in range(len(blob)):
-                with pytest.raises(ValueError):
+                with pytest.raises(ValueError, match="^truncated Bloom filter block$"):
                     BloomFilter.from_bytes(blob[:cut])
 
     def test_trailing_byte_rejected_on_load(self, tmp_path):

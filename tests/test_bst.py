@@ -419,31 +419,17 @@ class TestInsertHashesOnce:
             loaded.insert(int(x))
         assert loaded == BloomSampleTree.build_pruned(plan, fam, np.union1d(old, new))
 
-    def test_insert_counts_one_per_path_node(self):
-        tree, plan, _ = small_tree(M=1000, m=2000, leaf_ratio=8.0, occupied=[3, 700])
-        before = {key: f.inserted_count for key, f in tree.nodes.items()}
-        tree.insert(5)
-        for level in range(plan.depth + 1):
-            key = (level, 5 // (plan.padded_size >> level))
-            assert tree.nodes[key].inserted_count == before.get(key, 0) + 1
-
     @staticmethod
     def _path(plan, x):
         return [(level, x // (plan.padded_size >> level)) for level in range(plan.depth + 1)]
 
-    def test_second_insert_keeps_words_and_counts_again(self):
+    def test_second_insert_keeps_words(self):
         tree, plan, _ = small_tree(M=1000, m=2000, leaf_ratio=8.0, occupied=[3, 700])
         tree.insert(5)
         words = {key: f.words.copy() for key, f in tree.nodes.items()}
-        counts = {key: f.inserted_count for key, f in tree.nodes.items()}
         tree.insert(5)
+        assert tree.nodes.keys() == words.keys()
         assert all(np.array_equal(f.words, words[key]) for key, f in tree.nodes.items())
-        for key, f in tree.nodes.items():
-            step = 1 if key in self._path(plan, 5) else 0
-            assert f.inserted_count == counts[key] + step
-        tree.insert(5)
-        for key in self._path(plan, 5):
-            assert tree.nodes[key].inserted_count == counts[key] + 2
 
     @pytest.mark.parametrize("kind", list(FamilyKind))
     def test_one_word_filter_matches_batch_build(self, kind):
@@ -467,17 +453,6 @@ class TestInsertHashesOnce:
             assert node.popcount() == int(np.bitwise_count(node.words).sum())
         leaf = tree.nodes[self._path(plan, 5)[-1]]
         assert leaf.popcount() > before[self._path(plan, 5)[-1]]
-
-    def test_loaded_nodes_keep_unknown_counts(self):
-        tree, plan, _ = small_tree(M=1000, m=2000, leaf_ratio=8.0, occupied=[3, 700])
-        loaded = BloomSampleTree.from_bytes(tree.to_bytes())
-        keys = set(loaded.nodes)
-        for x in (5, 701, 999):
-            loaded.insert(x)
-        assert all(loaded.nodes[key].inserted_count is None for key in keys)
-        # a node the inserts created counts from zero
-        created = set(loaded.nodes) - keys
-        assert created and all(loaded.nodes[key].inserted_count == 1 for key in created)
 
     def test_rejects_padding(self):
         tree, plan, _ = small_tree(M=1000, m=2000, leaf_ratio=8.0, occupied=[])
@@ -831,6 +806,24 @@ class TestPrefixPass:
         assert counters.intersections == 5 and counters.leaves_scanned == 1
         assert 0 < found.size and 2000 <= found.min() <= found.max() < 3000
         assert shapes == [(1, n_words), (2, n_words), (2, n_words)]
+
+    @pytest.mark.parametrize("case", ["full", "pruned"])
+    def test_query_with_an_empty_prefix_stacks_each_row_once(self, monkeypatch, case):
+        _, tree, members = next(t for t in _reference_trees() if t[0] == case)
+        w, plan = bst._PREFIX_WORDS, tree.plan
+        n_words = (plan.m + 63) // 64
+        assert n_words > w
+        # three members whose k bits all lie past the prefix
+        members = [x for x in members.tolist()
+                   if min(bloom.word_masks(tree.family, x)) >= w][:3]
+        query = build_filter(tree.family, plan.namespace_size, members)
+        assert len(members) == 3 and not query.words[:w].any()
+        found, counters, shapes = self._reconstruct(monkeypatch, tree, query)
+        assert set(members) <= set(found.tolist())
+        # one stack of full rows per level, no prefix stack
+        assert all(width == n_words for _, width in shapes)
+        assert sum(rows for rows, _ in shapes) == counters.intersections
+        assert len(shapes) <= plan.depth + 1
 
     @pytest.mark.parametrize("prefix", ["one word", "whole row"])
     def test_reference_trees_at_either_end(self, monkeypatch, prefix):

@@ -1,4 +1,5 @@
 """End-to-end tests driving the command line interface in process."""
+import dataclasses
 import shlex
 import sys
 from pathlib import Path
@@ -108,6 +109,32 @@ class TestSample:
         rng = np.random.default_rng(DEFAULT_SEED)
         expect = [str(o.element) for o in tree.sample_many(query, 10, True, 0.5, rng)]
         assert [l for l in out.splitlines() if not l.startswith("#")] == expect
+
+    @pytest.mark.parametrize("members", ["5,9,23", ""])
+    @pytest.mark.parametrize("flags", [[], ["--without-replacement"]])
+    def test_counter_line_sums_the_outcomes(self, capsys, monkeypatch, small_tree_file,
+                                            members, flags):
+        returned, sample_many = [], BloomSampleTree.sample_many
+
+        def spy(*args, **kwargs):
+            outcomes = sample_many(*args, **kwargs)
+            returned.append((outcomes, [dataclasses.replace(o.counters) for o in outcomes]))
+            return outcomes
+
+        monkeypatch.setattr(BloomSampleTree, "sample_many", spy)
+        code, out = run_cli(capsys, "sample", "--tree", small_tree_file, "--set", members,
+                            "-r", 5, "--threshold", 0, *flags)
+        assert code == 0
+        (outcomes, counters), = returned
+        assert [o.counters for o in outcomes] == counters  # no outcome was merged into
+        total = {f: sum(getattr(c, f) for c in counters) for f in
+                 ("intersections", "membership_queries", "nodes_visited", "leaves_scanned")}
+        assert out.splitlines() == [
+            "NULL" if o.element is None else str(o.element) for o in outcomes] + [
+            f"# intersections {total['intersections']} membership "
+            f"{total['membership_queries']} nodes {total['nodes_visited']} "
+            f"leaves {total['leaves_scanned']}"]
+        assert (members == "") == all(o.element is None for o in outcomes)
 
     def test_deterministic_under_seed(self, capsys, small_tree_file):
         _, a = run_cli(capsys, "--seed", 7, "sample", "--tree", small_tree_file,
@@ -298,6 +325,17 @@ class TestBadQueryFile:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_query_file_cut_inside_its_words(capsys, small_tree_file, tmp_path):
+    tree = BloomSampleTree.load(small_tree_file)
+    data = build_filter(tree.family, 1000, [5]).to_bytes()
+    query = tmp_path / "q.bflt"
+    query.write_bytes(data[:len(data) - 8 * len(tree.nodes[(0, 0)].words) // 2])
+    code = main(["reconstruct", "--tree", str(small_tree_file), "--query", str(query)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: truncated Bloom filter block\n"
 
 
 def test_build_rejects_namespace_the_linear_family_cannot_hash(capsys, tmp_path):
