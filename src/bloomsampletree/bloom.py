@@ -13,7 +13,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .hashing import HashFamily, hash_many
+from .hashing import HashFamily, _hash_ints, hash_many
 
 __all__ = ["BloomFilter", "FamilyMismatchError", "as_elements", "check_query_namespace"]
 
@@ -123,10 +123,13 @@ def _chunks(ranges):
 
 def word_masks(family: HashFamily, x: int) -> dict:
     """Word index -> mask of the bits that element ``x`` sets, as Python
-    integers; one ``hash_many`` call per hash function."""
+    integers; one ``_hash_ints`` call per hash function, so no array is
+    built for the one element.  ``x`` may be a numpy integer, which
+    ``_hash_ints`` cannot take: it is read once as a Python int."""
+    x = operator.index(x)
     masks: dict = {}
     for i in range(family.k):
-        idx = int(hash_many(family, i, x))
+        (idx,) = _hash_ints(family, i, (x,))
         masks[idx >> 6] = masks.get(idx >> 6, 0) | 1 << (idx & 63)
     return masks
 
@@ -210,7 +213,7 @@ class BloomFilter:
 
     def insert_masks(self, masks: dict) -> None:
         """Insert one element given its ``word_masks``: OR each mask into its
-        word with Python integers.
+        word with Python integers, reading each word with ``item``.
 
         A read-only view is copied on the first write, which raises before
         it changes anything.  The try costs nothing until it raises, where
@@ -219,12 +222,12 @@ class BloomFilter:
         words = self.words
         for w, mask in masks.items():
             try:
-                words[w] = int(words[w]) | mask
+                words[w] = words.item(w) | mask
             except ValueError:
                 if words.flags.writeable:
                     raise
                 words = self._own_words()
-                words[w] = int(words[w]) | mask
+                words[w] = words.item(w) | mask
         self._popcount = None
 
     def insert_many(self, xs: Iterable[int]) -> None:
@@ -247,7 +250,7 @@ class BloomFilter:
         """Whether all k bits of element ``x`` are set."""
         x = self._check_element(x)
         words = self.words
-        return all(int(words[w]) & mask == mask
+        return all(words.item(w) & mask == mask
                    for w, mask in word_masks(self.family, x).items())
 
     def _bits_for(self, n: int) -> Optional[np.ndarray]:

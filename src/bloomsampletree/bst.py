@@ -273,6 +273,17 @@ def _check_index(levels: np.ndarray, js: np.ndarray, depth: int) -> None:
         raise ValueError("tree nodes not in ascending (level, j) order")
 
 
+def _gather(rows: list) -> np.ndarray:
+    """The equal-length word ``rows`` as the rows of one new matrix.
+
+    One ``concatenate`` into a flat array, where ``np.stack`` makes a view
+    per row first: 512 rows of 952 words took 0.72-0.75 ms this way against
+    1.29-1.35 ms stacked, and 512 rows of 32 words 0.11 ms against
+    0.39-0.40 ms (medians of 60, 2-core x86 host, numpy 2.4).
+    """
+    return np.concatenate(rows).reshape(len(rows), -1)
+
+
 def _ands_nonempty(rows: list, words: np.ndarray, w: int) -> list:
     """Per word row of ``rows``, each as long as ``words``, whether its AND
     with ``words`` sets any bit.
@@ -283,13 +294,13 @@ def _ands_nonempty(rows: list, words: np.ndarray, w: int) -> list:
     popcounted.
     """
     if w:
-        head = np.stack([row[:w] for row in rows])
+        head = _gather([row[:w] for row in rows])
         hit = np.bitwise_and(head, words[:w], out=head).any(axis=1)
     else:
         hit = np.zeros(len(rows), dtype=bool)
     rest = np.flatnonzero(~hit)
     if rest.size and words.size > w:
-        tail = np.stack([rows[i][w:] for i in rest.tolist()])
+        tail = _gather([rows[i][w:] for i in rest.tolist()])
         hit[rest] = np.bitwise_and(tail, words[w:], out=tail).any(axis=1)
     return hit.tolist()
 
@@ -437,9 +448,9 @@ class BloomSampleTree:
         for level in range(self.plan.depth):
             for js in self._batches(levels.get(level, [])):
                 # an absent child reads as the shared zero row
-                ors = np.stack([words.get((level + 1, 2 * j), zero) for j in js])
-                ors |= np.stack([words.get((level + 1, 2 * j + 1), zero) for j in js])
-                parents = np.stack([words[(level, j)] for j in js])
+                ors = _gather([words.get((level + 1, 2 * j), zero) for j in js])
+                ors |= _gather([words.get((level + 1, 2 * j + 1), zero) for j in js])
+                parents = _gather([words[(level, j)] for j in js])
                 bad = np.flatnonzero((ors != parents).any(axis=1))
                 if bad.size:
                     raise ValueError(f"tree node {(level, js[bad[0]])} "
@@ -612,7 +623,7 @@ class BloomSampleTree:
                                          prefix)
                     frontier += [j for (j, _), h in zip(batch, hit) if h]
                     continue
-                stack = np.stack([node.words for _, node in batch])
+                stack = _gather([node.words for _, node in batch])
                 np.bitwise_and(stack, query.words, out=stack)
                 t_and = np.bitwise_count(stack).sum(axis=1).tolist()
                 frontier += [j for (j, node), t in zip(batch, t_and)
@@ -637,7 +648,8 @@ class BloomSampleTree:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BloomSampleTree":
-        """Parse a v2 tree; any malformed or truncated input raises ValueError.
+        """Parse a v2 tree; any malformed or truncated input raises ValueError,
+        and input cut at any length raises it as a truncated tree file.
 
         No words are copied: each node's words are one row of a read-only
         view of ``data``, which the tree keeps alive, and a node copies its
@@ -646,7 +658,7 @@ class BloomSampleTree:
         """
         if not isinstance(data, bytes):
             data = bytes(data)
-        if data[:4] != _MAGIC:
+        if not _MAGIC.startswith(data[:4]):  # a cut magic is truncated
             raise ValueError("bad magic: not a tree file")
         try:
             if data[4] != _VERSION:
@@ -659,7 +671,10 @@ class BloomSampleTree:
         tree = cls(plan, family)
         offset += 8
         n_words = (plan.m + 63) // 64
-        if len(data) != offset + count * (_INDEX_ENTRY.itemsize + 8 * n_words):
+        size = offset + count * (_INDEX_ENTRY.itemsize + 8 * n_words)
+        if len(data) < size:
+            raise ValueError("truncated tree file")
+        if len(data) > size:
             raise ValueError("tree file size does not match its node count")
         entries = np.frombuffer(data, _INDEX_ENTRY, count, offset)
         words = np.frombuffer(data, "<u8", count * n_words, offset + entries.nbytes)

@@ -121,6 +121,46 @@ class TestInsertContains:
         assert abs(rate - p) < 3 * sigma
 
 
+def _masks_of(idxs):
+    masks = {}
+    for idx in idxs:
+        masks[idx >> 6] = masks.get(idx >> 6, 0) | 1 << (idx & 63)
+    return masks
+
+
+class TestPerElementPath:
+    """``word_masks`` hashes one element in Python integers; ``insert`` and
+    ``contains`` read and write the words it names with Python integers."""
+
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    def test_word_masks_match_hash_many(self, kind):
+        M = 10**6
+        fam = make_family(kind, 3, 60_870, seed=5)
+        xs = [0, 1, M - 1, *np.random.default_rng(5).integers(0, M, 20).tolist()]
+        if kind == FamilyKind.SIMPLE_LINEAR:
+            xs.append(fam.namespace_limit - 1)
+        # one call over all of xs takes hash_many's array path
+        batch = [hashing.hash_many(fam, i, np.array(xs)).tolist() for i in range(fam.k)]
+        for col, x in enumerate(xs):
+            want = _masks_of([int(hashing.hash_many(fam, i, [x])[0]) for i in range(fam.k)])
+            assert want == _masks_of([row[col] for row in batch])
+            for value in (x, np.int64(x), np.uint64(x)):
+                assert bloom.word_masks(fam, value) == want, (x, type(value))
+
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    def test_contains_on_a_loaded_filter_matches_contains_many(self, kind):
+        fam = make_family(kind, 3, 1000, seed=6)
+        flt = build_filter(fam, 5000, np.random.default_rng(6).choice(5000, 200, replace=False))
+        loaded, _ = BloomFilter.from_bytes(flt.to_bytes())
+        frozen = flt.words.copy()
+        frozen.flags.writeable = False  # as the nodes of a loaded tree hold their rows
+        xs = np.arange(5000)
+        want = flt.contains_many(xs).tolist()
+        assert 0 < sum(want) < len(want)
+        for f in (loaded, BloomFilter(fam, 5000, words=frozen)):
+            assert [f.contains(x) for x in xs.tolist()] == want
+
+
 class TestSetAlgebra:
     def setup_method(self):
         self.fam = make_family(FamilyKind.MURMUR3, 3, 3000, seed=7)

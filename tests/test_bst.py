@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from bloomsampletree import bloom, bst
+from bloomsampletree import bloom, bst, hashing
 from bloomsampletree.bloom import BloomFilter, FamilyMismatchError, build_filter
 from bloomsampletree.bst import (
     BloomSampleTree,
@@ -397,23 +397,41 @@ class TestInsertHashesOnce:
         tree, plan, fam = small_tree(M=1000, m=2000, leaf_ratio=8.0, occupied=[3, 700])
         assert plan.depth >= 2
         calls = []
-        real = bloom.hash_many
+        real = bloom._hash_ints
+
+        def counting(family, i, xs):
+            calls.append(i)
+            return real(family, i, xs)
+
+        monkeypatch.setattr(bloom, "_hash_ints", counting)
+        for x in (5, 701, 999):
+            calls.clear()
+            tree.insert(x)
+            assert sorted(calls) == list(range(fam.k))
+
+    def test_insert_and_contains_build_no_hash_array(self, monkeypatch):
+        tree, plan, _ = small_tree(M=1000, m=2000, leaf_ratio=8.0, occupied=[3, 700])
+        calls = []
+        real = hashing.hash_many
 
         def counting(family, i, xs):
             calls.append(i)
             return real(family, i, xs)
 
         monkeypatch.setattr(bloom, "hash_many", counting)
+        monkeypatch.setattr(hashing, "hash_many", counting)
         for x in (5, 701, 999):
-            calls.clear()
             tree.insert(x)
-            assert sorted(calls) == list(range(fam.k))
+            assert tree.nodes[(plan.depth, x // plan.leaf_size)].contains(x)
+        assert calls == []
 
-    def test_insert_into_loaded_tree_matches_batch_build(self):
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    def test_insert_into_loaded_tree_matches_batch_build(self, kind):
         rng = np.random.default_rng(37)
         old = rng.choice(1000, size=40, replace=False)
         new = rng.choice(1000, size=40, replace=False)
-        tree, plan, fam = small_tree(M=1000, m=2000, leaf_ratio=8.0, occupied=old)
+        tree, plan, fam = small_tree(M=1000, m=2000, leaf_ratio=8.0, family_kind=kind,
+                                     occupied=old)
         loaded = BloomSampleTree.from_bytes(tree.to_bytes())
         for x in new:
             loaded.insert(int(x))
@@ -493,7 +511,7 @@ class TestTreeFileValidation:
     def test_every_truncation_rejected(self):
         data = small_tree(M=16, m=200, leaf_ratio=2.0)[0].to_bytes()
         for cut in range(len(data)):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="^truncated tree file$"):
                 BloomSampleTree.from_bytes(data[:cut])
 
     def test_trailing_byte_rejected(self):
@@ -722,10 +740,9 @@ class TestLevelWalkReconstruct:
     def test_small_stack_bound_keeps_the_result(self, monkeypatch):
         trees = list(_reference_trees())
         stacked = []
-        stack = np.stack
-        monkeypatch.setattr(np, "stack",
-                            lambda arrays, *a, **kw: stacked.append(len(arrays))
-                            or stack(arrays, *a, **kw))
+        gather = bst._gather
+        monkeypatch.setattr(bst, "_gather",
+                            lambda rows: stacked.append(len(rows)) or gather(rows))
         for case, tree, members in trees:
             query = build_filter(tree.family, tree.plan.namespace_size, members)
             n_words = len(query.words)
@@ -769,13 +786,13 @@ class TestPrefixPass:
     @staticmethod
     def _reconstruct(monkeypatch, tree, query):
         """``tree.reconstruct(query, 0.0)``, checked against the recursive
-        reference, and the shapes of the arrays it stacked."""
+        reference, and the shapes of the row lists it gathered."""
         shapes = []
-        stack = np.stack
-        monkeypatch.setattr(np, "stack", lambda arrays, *a, **kw: shapes.append(
-            (len(arrays), len(arrays[0]))) or stack(arrays, *a, **kw))
+        gather = bst._gather
+        monkeypatch.setattr(bst, "_gather", lambda rows: shapes.append(
+            (len(rows), len(rows[0]))) or gather(rows))
         found, counters = tree.reconstruct(query, 0.0)
-        monkeypatch.setattr(np, "stack", stack)
+        monkeypatch.setattr(bst, "_gather", gather)
         ref, ref_counters = reference_reconstruct(tree, query, 0.0)
         assert np.array_equal(found, ref) and counters == ref_counters
         return found, counters, shapes

@@ -338,6 +338,16 @@ def test_query_file_cut_inside_its_words(capsys, small_tree_file, tmp_path):
     assert captured.err == "error: truncated Bloom filter block\n"
 
 
+def test_tree_file_cut_inside_its_words(capsys, small_tree_file):
+    data = small_tree_file.read_bytes()
+    n_words = len(BloomSampleTree.load(small_tree_file).nodes[(0, 0)].words)
+    small_tree_file.write_bytes(data[:len(data) - 8 * n_words // 2])
+    code = main(["sample", "--tree", str(small_tree_file), "--set", "5"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: truncated tree file\n"
+
+
 def test_build_rejects_namespace_the_linear_family_cannot_hash(capsys, tmp_path):
     code = main(["build", "-M", str(10**13 + 10**6), "--force-m", "10000019",
                  "--family", "simple", "--out", str(tmp_path / "t.bstr")])
