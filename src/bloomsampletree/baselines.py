@@ -18,6 +18,7 @@ from .bst import OpCounters, SampleOutcome
 from .hashing import preimage
 
 __all__ = [
+    "ALGORITHMS",
     "ReconstructionMode",
     "da_sample",
     "da_reconstruct",
@@ -123,3 +124,15 @@ def hi_reconstruct(query: BloomFilter, namespace_size: int,
     if not parts:
         return np.empty(0, dtype=np.int64), counters
     return np.concatenate(parts), counters
+
+
+# name -> (sample, reconstruct); reconstruct returns its positives ascending.  Only
+# bst reads the tree and the threshold, so the others may be given None for the tree.
+ALGORITHMS = {
+    "bst": (lambda tree, query, M, threshold, rng: tree.sample(query, threshold, rng),
+            lambda tree, query, M, threshold: tree.reconstruct(query, threshold)),
+    "da": (lambda tree, query, M, threshold, rng: da_sample(M, query, rng),
+           lambda tree, query, M, threshold: da_reconstruct(M, query)),
+    "hi": (lambda tree, query, M, threshold, rng: hi_sample(query, M, rng),
+           lambda tree, query, M, threshold: hi_reconstruct(query, M)),
+}

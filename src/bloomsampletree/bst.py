@@ -113,6 +113,9 @@ class TreePlan:
     accuracy_target: float
     cost_ratio: float            # intersection cost / membership cost
 
+    # the fields above in order, as a tree file stores them
+    _STRUCT = struct.Struct("<QQHHQdd")
+
     @property
     def padded_size(self) -> int:
         """Covered namespace: M rounded up so leaf_size * 2^depth divides it."""
@@ -128,16 +131,12 @@ class TreePlan:
         return self.m * self.full_node_count
 
     def to_bytes(self) -> bytes:
-        return struct.pack("<QQHHQdd", self.namespace_size, self.m, self.k,
-                           self.depth, self.leaf_size, self.accuracy_target,
-                           self.cost_ratio)
+        return self._STRUCT.pack(self.namespace_size, self.m, self.k, self.depth,
+                                 self.leaf_size, self.accuracy_target, self.cost_ratio)
 
     @classmethod
     def from_bytes(cls, data: bytes, offset: int = 0) -> tuple["TreePlan", int]:
-        vals = struct.unpack_from("<QQHHQdd", data, offset)
-        plan = cls(namespace_size=vals[0], m=vals[1], k=vals[2], depth=vals[3],
-                   leaf_size=vals[4], accuracy_target=vals[5], cost_ratio=vals[6])
-        return plan, offset + struct.calcsize("<QQHHQdd")
+        return cls(*cls._STRUCT.unpack_from(data, offset)), offset + cls._STRUCT.size
 
 
 # Cap on the planned leaf width.  A plan stores M as a u64, so a leaf this
@@ -172,15 +171,6 @@ def max_leaf_capacity(cost_ratio: float) -> int:
     return lo
 
 
-def _depth_and_leaf(namespace_size: int, cost_ratio: float) -> tuple[int, int]:
-    cap = max_leaf_capacity(cost_ratio)
-    depth = 0
-    while -(-namespace_size // (1 << depth)) > cap and (1 << depth) < namespace_size:
-        depth += 1
-    leaf = -(-namespace_size // (1 << depth))  # ceil; padding absorbs the slack
-    return depth, leaf
-
-
 def plan_from_accuracy(accuracy: float, n_ref: int, namespace_size: int, k: int,
                        cost_ratio: float) -> TreePlan:
     """Derive (m, depth, leaf width) from an accuracy target.
@@ -208,8 +198,7 @@ def plan_from_accuracy(accuracy: float, n_ref: int, namespace_size: int, k: int,
         m += 1
     if m < 8 * k:
         raise PlanError(f"accuracy target too loose: planned m={m} is degenerate")
-    depth, leaf = _depth_and_leaf(namespace_size, cost_ratio)
-    return TreePlan(namespace_size, m, k, depth, leaf, accuracy, cost_ratio)
+    return plan_with_m(m, namespace_size, k, cost_ratio, accuracy)
 
 
 def plan_with_m(m: int, namespace_size: int, k: int, cost_ratio: float,
@@ -219,7 +208,11 @@ def plan_with_m(m: int, namespace_size: int, k: int, cost_ratio: float,
         raise PlanError(f"k must be in [1, 2^16), got {k}")
     if m < 8 * k:
         raise PlanError(f"m={m} is degenerate for k={k}")
-    depth, leaf = _depth_and_leaf(namespace_size, cost_ratio)
+    cap = max_leaf_capacity(cost_ratio)
+    depth = 0
+    while -(-namespace_size // (1 << depth)) > cap and (1 << depth) < namespace_size:
+        depth += 1
+    leaf = -(-namespace_size // (1 << depth))  # ceil; padding absorbs the slack
     return TreePlan(namespace_size, m, k, depth, leaf, accuracy_target, cost_ratio)
 
 

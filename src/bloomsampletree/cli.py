@@ -18,6 +18,7 @@ from .estimate import fp_probability, population_estimate
 from .hashing import FAMILY_NAMES, make_family
 from . import baselines
 from .evalkit import (
+    REJECT_AT,
     SweepConfig,
     calibrate_cost_ratio,
     chi_squared_uniformity,
@@ -147,14 +148,9 @@ def cmd_sample(args) -> int:
 def cmd_reconstruct(args) -> int:
     tree = _load_tree(args)
     query = _load_query(args, tree)
-    M = tree.plan.namespace_size
-    if args.algo == "bst":
-        elements, counters = tree.reconstruct(query, args.threshold)
-    elif args.algo == "da":
-        elements, counters = baselines.da_reconstruct(M, query)
-    else:
-        elements, counters = baselines.hi_reconstruct(query, M)
-    for x in np.sort(elements):
+    _, reconstruct = baselines.ALGORITHMS[args.algo]
+    elements, counters = reconstruct(tree, query, tree.plan.namespace_size, args.threshold)
+    for x in elements:
         print(int(x))
     _print_counters(counters)
     return 0
@@ -189,7 +185,7 @@ def cmd_chi2(args) -> int:
     print(f"q {report.q_statistic:.6g}")
     print(f"df {report.degrees_of_freedom}")
     print(f"p_value {report.p_value:.6g}")
-    print(f"rejected_at_{report.reject_at} {report.rejected}")
+    print(f"rejected_at_{REJECT_AT} {report.rejected}")
     return 0
 
 
@@ -232,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reconstruct", help="recover the full positive set")
     _add_query_args(p)
-    p.add_argument("--algo", choices=["bst", "da", "hi"], default="bst")
+    p.add_argument("--algo", choices=sorted(baselines.ALGORITHMS), default="bst")
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("chi2", help="chi-squared uniformity report over tree samples")

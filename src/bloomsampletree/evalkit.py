@@ -10,16 +10,16 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .bloom import BloomFilter, build_filter
 from .bst import (BloomSampleTree, OpCounters, plan_from_accuracy, DEFAULT_COST_RATIO,
-                  DEFAULT_THRESHOLD)
+                  DEFAULT_THRESHOLD, _check_threshold)
 from .hashing import FAMILY_NAMES, FamilyKind, make_family
-from . import baselines
+from .baselines import ALGORITHMS
 
 __all__ = [
     "gen_uniform",
@@ -42,8 +42,8 @@ __all__ = [
 
 def gen_uniform(namespace_size: int, n: int, rng=None) -> np.ndarray:
     """n distinct elements of [0, M), uniform without replacement."""
-    if n > namespace_size:
-        raise ValueError("cannot draw more distinct elements than the namespace holds")
+    if not 0 <= n <= namespace_size:
+        raise ValueError(f"need 0 <= n <= M, got n = {n} and M = {namespace_size}")
     rng = np.random.default_rng() if rng is None else rng
     if n == namespace_size:
         return np.arange(namespace_size, dtype=np.int64)
@@ -184,8 +184,8 @@ class ClusteredSampler:
 
 def gen_clustered(namespace_size: int, n: int, p: float = 10.0, rng=None) -> np.ndarray:
     """n distinct elements with locality: draws cluster around earlier ones."""
-    if n > namespace_size:
-        raise ValueError("cannot draw more distinct elements than the namespace holds")
+    if not 0 <= n <= namespace_size:
+        raise ValueError(f"need 0 <= n <= M, got n = {n} and M = {namespace_size}")
     sampler = ClusteredSampler(namespace_size, p, rng)
     return np.fromiter((sampler.draw() for _ in range(n)), dtype=np.int64, count=n)
 
@@ -193,16 +193,18 @@ def gen_clustered(namespace_size: int, n: int, p: float = 10.0, rng=None) -> np.
 # ---------------------------------------------------------------------------
 # chi-squared uniformity
 
+REJECT_AT = 0.08
+
+
 @dataclass
 class ChiSquaredReport:
     q_statistic: float
     degrees_of_freedom: int
     p_value: float
-    reject_at: float = 0.08
 
     @property
     def rejected(self) -> bool:
-        return self.p_value < self.reject_at
+        return self.p_value < REJECT_AT
 
 
 def _gamma_p_series(a: float, x: float) -> float:
@@ -252,8 +254,7 @@ def regularized_gamma_q(a: float, x: float) -> float:
     return _gamma_q_contfrac(a, x)
 
 
-def chi_squared_uniformity(observed: Iterable[int],
-                           reject_at: float = 0.08) -> ChiSquaredReport:
+def chi_squared_uniformity(observed: Iterable[int]) -> ChiSquaredReport:
     """Pearson test of per-element counts against the uniform expectation."""
     o = np.asarray(list(observed) if not isinstance(observed, np.ndarray)
                    else observed, dtype=np.float64)
@@ -267,7 +268,7 @@ def chi_squared_uniformity(observed: Iterable[int],
     q = float(((o - e) ** 2 / e).sum())
     df = n - 1
     p = regularized_gamma_q(df / 2.0, q / 2.0)
-    return ChiSquaredReport(q, df, p, reject_at)
+    return ChiSquaredReport(q, df, p)
 
 
 def measured_accuracy(samples: Iterable[int], true_set) -> float:
@@ -322,6 +323,13 @@ def calibrate_cost_ratio(m: int, k: int, trials: int = 50, rng=None) -> float:
 
 CSV_HEADER = "algorithm,M,n,accuracy,family,shape,intersections,membership,nodes,time_ns,trials"
 
+# query shape -> generator(M, n, p, rng) of an n-element query set
+SHAPES = {
+    "uniform": lambda namespace_size, n, p, rng: gen_uniform(namespace_size, n, rng),
+    "clustered": gen_clustered,
+}
+
+
 @dataclass
 class SweepConfig:
     """One benchmark grid; every list axis is swept as a cross product."""
@@ -339,6 +347,22 @@ class SweepConfig:
     master_seed: int = 20260823
     clustering_percent: float = 10.0
 
+    # config key -> (field, value type); a list field takes a comma-separated list
+    KEYS = {
+        "algorithms": ("algorithms", str),
+        "M": ("namespace_sizes", int),
+        "n": ("set_sizes", int),
+        "accuracy": ("accuracies", float),
+        "families": ("families", str),
+        "shapes": ("shapes", str),
+        "k": ("k", int),
+        "cost_ratio": ("cost_ratio", float),
+        "threshold": ("threshold", float),
+        "trials": ("trials", int),
+        "seed": ("master_seed", int),
+        "p": ("clustering_percent", float),
+    }
+
     @classmethod
     def parse(cls, text: str) -> "SweepConfig":
         """Read the plain-text key/value format shown in README.md's CLI quick start."""
@@ -355,32 +379,14 @@ class SweepConfig:
             key, value = key.strip(), value.strip()
             if key == "version":
                 version = value
-            elif key == "algorithms":
-                cfg.algorithms = [v.strip() for v in value.split(",")]
-            elif key == "M":
-                cfg.namespace_sizes = [int(v) for v in value.split(",")]
-            elif key == "n":
-                cfg.set_sizes = [int(v) for v in value.split(",")]
-            elif key == "accuracy":
-                cfg.accuracies = [float(v) for v in value.split(",")]
-            elif key == "families":
-                cfg.families = [v.strip() for v in value.split(",")]
-            elif key == "shapes":
-                cfg.shapes = [v.strip() for v in value.split(",")]
-            elif key == "k":
-                cfg.k = int(value)
-            elif key == "cost_ratio":
-                cfg.cost_ratio = float(value)
-            elif key == "threshold":
-                cfg.threshold = float(value)
-            elif key == "trials":
-                cfg.trials = int(value)
-            elif key == "seed":
-                cfg.master_seed = int(value)
-            elif key == "p":
-                cfg.clustering_percent = float(value)
-            else:
+                continue
+            if key not in cls.KEYS:
                 raise ValueError(f"unknown sweep config key: {key!r}")
+            name, kind = cls.KEYS[key]
+            if isinstance(getattr(cfg, name), list):
+                setattr(cfg, name, [kind(v.strip()) for v in value.split(",")])
+            else:
+                setattr(cfg, name, kind(value))
         if version is None:
             raise ValueError("sweep config must declare a version")
         if version != "1":
@@ -403,18 +409,10 @@ class BenchRecord:
     trials: int
 
     def csv_row(self) -> str:
-        return (f"{self.algorithm},{self.namespace_size},{self.n},{self.accuracy},"
-                f"{self.family},{self.shape},{self.intersections},{self.membership},"
-                f"{self.nodes},{self.time_ns},{self.trials}")
+        return ",".join(map(str, astuple(self)))
 
 
-def _make_query_set(shape: str, namespace_size: int, n: int, p: float, rng):
-    if shape == "uniform":
-        return gen_uniform(namespace_size, n, rng)
-    return gen_clustered(namespace_size, n, p, rng)
-
-
-def run_sweep(config: SweepConfig, progress=None) -> list[BenchRecord]:
+def run_sweep(config: SweepConfig) -> list[BenchRecord]:
     """Run every cell of the grid and return averaged counters per cell.
 
     Deterministic for a fixed config: cell index i uses a generator
@@ -422,9 +420,9 @@ def run_sweep(config: SweepConfig, progress=None) -> list[BenchRecord]:
     (M, n, accuracy, family), the inputs of their plan and family, so
     repeated cells share one build.
     """
-    for axis, names, known in (("algorithm", config.algorithms, ("bst", "da", "hi")),
+    for axis, names, known in (("algorithm", config.algorithms, ALGORITHMS),
                                ("family", config.families, FAMILY_NAMES),
-                               ("shape", config.shapes, ("uniform", "clustered"))):
+                               ("shape", config.shapes, SHAPES)):
         for name in names:
             if name not in known:
                 raise ValueError(f"unknown {axis} {name!r}")
@@ -434,6 +432,11 @@ def run_sweep(config: SweepConfig, progress=None) -> list[BenchRecord]:
                 raise ValueError(f"algorithm 'hi' needs the simple family, not {name!r}")
     if config.trials < 1:
         raise ValueError(f"trials must be >= 1, got {config.trials}")
+    # an empty draw of each shape checks its parameters, such as p, before any build
+    for shape in config.shapes:
+        SHAPES[shape](1, 0, config.clustering_percent, None)
+    if "bst" in config.algorithms:
+        _check_threshold(config.threshold)
     records = []
     tree_cache: dict = {}
     cells = list(itertools.product(config.algorithms, config.namespace_sizes,
@@ -452,17 +455,13 @@ def run_sweep(config: SweepConfig, progress=None) -> list[BenchRecord]:
         if algo == "bst" and cache_key not in tree_cache:
             tree_cache[cache_key] = BloomSampleTree.build_full(plan, family)
         tree = tree_cache.get(cache_key)
-        query_set = _make_query_set(shape, M, n, config.clustering_percent, rng)
+        query_set = SHAPES[shape](M, n, config.clustering_percent, rng)
         query = build_filter(family, M, query_set)
+        sample, _ = ALGORITHMS[algo]
         totals = OpCounters()
         t0 = time.perf_counter_ns()
         for _ in range(config.trials):
-            if algo == "bst":
-                out = tree.sample(query, config.threshold, rng)
-            elif algo == "da":
-                out = baselines.da_sample(M, query, rng)
-            else:
-                out = baselines.hi_sample(query, M, rng)
+            out = sample(tree, query, M, config.threshold, rng)
             totals.merge(out.counters)
         elapsed = time.perf_counter_ns() - t0
         t = config.trials
@@ -471,8 +470,6 @@ def run_sweep(config: SweepConfig, progress=None) -> list[BenchRecord]:
                                    totals.membership_queries / t,
                                    totals.nodes_visited / t,
                                    elapsed / t, t))
-        if progress:
-            progress(records[-1])
     return records
 
 

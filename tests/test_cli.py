@@ -470,7 +470,8 @@ class TestPlanCostRatio:
 
 
 @pytest.mark.parametrize("line", ["families = foo", "algorithms = bst, nope",
-                                  "shapes = blobs", "trials = 0"])
+                                  "shapes = blobs", "trials = 0",
+                                  "shapes = uniform, clustered\np = 100"])
 def test_bench_bad_grid_exits_with_one_line_error(capsys, tmp_path, line):
     config = tmp_path / "bad.cfg"
     config.write_text(f"version = 1\nM = 2000\nn = 50\ntrials = 3\n{line}\n")

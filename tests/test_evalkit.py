@@ -1,4 +1,5 @@
 """Tests for query-set generators, chi-squared testing, and sweeps."""
+import dataclasses
 import math
 from pathlib import Path
 
@@ -39,6 +40,10 @@ class TestGenUniform:
         with pytest.raises(ValueError):
             gen_uniform(10, 11, np.random.default_rng(0))
 
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="n = -1"):
+            gen_uniform(10, -1, np.random.default_rng(0))
+
     def test_distinct_and_in_range(self):
         xs = gen_uniform(10**6, 5000, np.random.default_rng(1))
         assert len(np.unique(xs)) == 5000
@@ -63,6 +68,10 @@ class TestGenClustered:
     def test_too_many_rejected(self):
         with pytest.raises(ValueError):
             gen_clustered(10, 11, 10.0, np.random.default_rng(0))
+
+    def test_negative_n_rejected(self):
+        with pytest.raises(ValueError, match="n = -1"):
+            gen_clustered(10, -1, 10.0, np.random.default_rng(0))
 
     def test_bad_percent_rejected(self):
         for p in (-1.0, 100.0, 250.0):
@@ -263,8 +272,7 @@ p 3.5
         block = block.split("```\n", 2)[1]
         keys = {line.replace("=", " ").split()[0] for line in block.splitlines()
                 if line.split("#", 1)[0].strip()}
-        assert keys == {"version", "algorithms", "M", "n", "accuracy", "families",
-                        "shapes", "k", "cost_ratio", "threshold", "trials", "seed", "p"}
+        assert keys == set(SweepConfig.KEYS) | {"version"}
         cfg = SweepConfig.parse(block)
         assert set(cfg.algorithms) <= {"bst", "da", "hi"}
 
@@ -305,6 +313,48 @@ class TestRunSweep:
         write_csv(records, out)
         assert out.read_text().splitlines()[1].startswith("hi,10000,200,0.9,simple,uniform,")
 
+    # Every field but time_ns of each record of two fixed grids.  A change to
+    # a cell's draws, its dispatch or its averages shows here.
+    PINNED_GRIDS = [
+        SweepConfig(algorithms=["bst", "da", "hi"], namespace_sizes=[100000],
+                    set_sizes=[100, 300], accuracies=[0.9], families=["simple"],
+                    shapes=["uniform", "clustered"], trials=5, master_seed=7),
+        SweepConfig(algorithms=["bst", "da"], namespace_sizes=[100000], set_sizes=[150],
+                    accuracies=[0.8], families=["murmur3", "md5"],
+                    shapes=["uniform", "clustered"], trials=5, master_seed=7),
+    ]
+    PINNED_ROWS = [
+        "bst,100000,100,0.9,simple,uniform,14.4,1563.0,8.2,5",
+        "bst,100000,100,0.9,simple,clustered,12.0,1563.0,7.0,5",
+        "bst,100000,300,0.9,simple,uniform,30.0,0.0,15.0,5",
+        "bst,100000,300,0.9,simple,clustered,12.0,1563.0,7.0,5",
+        "da,100000,100,0.9,simple,uniform,0.0,100000.0,0.0,5",
+        "da,100000,100,0.9,simple,clustered,0.0,100000.0,0.0,5",
+        "da,100000,300,0.9,simple,uniform,0.0,100000.0,0.0,5",
+        "da,100000,300,0.9,simple,clustered,0.0,100000.0,0.0,5",
+        "hi,100000,100,0.9,simple,uniform,0.0,49.2,0.0,5",
+        "hi,100000,100,0.9,simple,clustered,0.0,49.2,0.0,5",
+        "hi,100000,300,0.9,simple,uniform,0.0,24.0,0.0,5",
+        "hi,100000,300,0.9,simple,clustered,0.0,24.0,0.0,5",
+        "bst,100000,150,0.8,murmur3,uniform,12.0,1875.6,7.2,5",
+        "bst,100000,150,0.8,murmur3,clustered,13.6,2188.2,8.2,5",
+        "bst,100000,150,0.8,md5,uniform,12.0,1556.6,7.0,5",
+        "bst,100000,150,0.8,md5,clustered,16.8,2188.2,9.8,5",
+        "da,100000,150,0.8,murmur3,uniform,0.0,100000.0,0.0,5",
+        "da,100000,150,0.8,murmur3,clustered,0.0,100000.0,0.0,5",
+        "da,100000,150,0.8,md5,uniform,0.0,100000.0,0.0,5",
+        "da,100000,150,0.8,md5,clustered,0.0,100000.0,0.0,5",
+    ]
+
+    def test_records_match_the_pinned_grid(self):
+        rows = []
+        for cfg in self.PINNED_GRIDS:
+            for rec in run_sweep(cfg):
+                fields = dataclasses.asdict(rec)
+                del fields["time_ns"]
+                rows.append(",".join(map(str, fields.values())))
+        assert rows == self.PINNED_ROWS
+
     def test_csv_output(self, tmp_path):
         records = run_sweep(self._config(algorithms=["da"]))
         out = tmp_path / "sweep.csv"
@@ -337,10 +387,12 @@ class TestRunSweepChecksItsGrid:
         ("families", ["simple", "foo"], "foo"),
         ("shapes", ["uniform", "blobs"], "blobs"),
         ("trials", 0, "trials"),
+        ("clustering_percent", 100.0, "percentage"),
+        ("threshold", math.nan, "NaN"),
     ])
     def test_rejected_before_any_build(self, builds, key, value, bad):
         cfg = SweepConfig(algorithms=["bst"], namespace_sizes=[10**4], set_sizes=[200],
-                          trials=2, master_seed=123)
+                          shapes=["uniform", "clustered"], trials=2, master_seed=123)
         setattr(cfg, key, value)
         with pytest.raises(ValueError, match=bad):
             run_sweep(cfg)
