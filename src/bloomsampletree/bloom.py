@@ -174,18 +174,24 @@ class BloomFilter:
         self._popcount = None
 
     @classmethod
-    def _row_view(cls, family: HashFamily, namespace_size: int,
-                  words: np.ndarray) -> "BloomFilter":
-        """A filter that holds ``words`` as given, one uint64 row of
-        ``(m + 63) // 64`` words, with no checks: for tree builders and
-        loaders, which check the namespace and the row width once per tree
-        and map this over the rows of a words matrix."""
-        flt = object.__new__(cls)
-        flt.family = family
-        flt.namespace_size = namespace_size
-        flt.words = words
-        flt._popcount = None
-        return flt
+    def _row_views(cls, family: HashFamily, namespace_size: int,
+                   words: np.ndarray) -> list:
+        """One filter per row of the uint64 ``words`` matrix, each holding its
+        row as given, with no checks: for tree builders and loaders, which
+        check the namespace and the row width once per tree.
+
+        A plain loop of slot stores with no call per row, since a call per
+        row cost about as much as the stores.
+        """
+        new, flts = object.__new__, []
+        for row in words:
+            flt = new(cls)
+            flt.family = family
+            flt.namespace_size = namespace_size
+            flt.words = row
+            flt._popcount = None
+            flts.append(flt)
+        return flts
 
     @property
     def m(self) -> int:

@@ -44,6 +44,8 @@ _MAGIC = b"BSTR"
 _VERSION = 2
 # One node index entry of the v2 file, packed: level (u8), then j (u64 LE).
 _INDEX_ENTRY = np.dtype([("level", "u1"), ("j", "<u8")])
+# A node's words as the file stores them.
+_WORD = np.dtype("<u8")
 
 # An estimated intersection below half an element is treated as empty;
 # exposed as a tunable on every traversal entry point.
@@ -346,7 +348,6 @@ class BloomSampleTree:
         for start in range(0, js.size, step):
             batch = list(islice(arrays, step))
             words[start:start + len(batch)] = filter_rows(family, batch, bitmap)
-        node = partial(BloomFilter._row_view, family, int(plan.namespace_size))
         for level in range(plan.depth, -1, -1):
             if level < plan.depth:
                 parents = js >> 1
@@ -355,8 +356,8 @@ class BloomSampleTree:
                 up = words[first]
                 words = np.bitwise_or(up, words[last], out=up)
                 js = parents[first]
-            self.nodes.update(zip(zip(repeat(level), js.tolist()),
-                                  map(node, words)))
+            nodes = BloomFilter._row_views(family, int(plan.namespace_size), words)
+            self.nodes.update(zip(zip(repeat(level), js.tolist()), nodes))
         return self
 
     @classmethod
@@ -584,14 +585,23 @@ class BloomSampleTree:
         batches of at most ``_STACK_BYTES`` of words), a
         node whose AND is empty or whose estimate is below ``threshold`` is
         pruned, and the children of the rest form the next frontier.  The
-        surviving leaves are then scanned as one list of ranges.  With
-        threshold 0 pruning fires only on bit-exact empty intersections,
-        which never discard a positive, so the result equals a full
-        dictionary scan of the covered namespace.  A threshold <= 0 computes
-        no estimate and no popcount: a node's AND is tested on its first
-        ``_PREFIX_WORDS`` words, and on the rest only where those are empty;
-        a query that sets no bit in those words has every full row tested
-        at once, since each prefix AND would be empty.
+        surviving leaves are then scanned as one list of ranges.
+
+        With threshold 0 only an empty AND prunes a node, and:
+
+        - every occupied positive (an element the tree holds that the query
+          contains) is returned, since its bits are set in every node of
+          its path and in the query;
+        - the result is exactly the dictionary scan (DA) of the leaves
+          scanned.  On a pruned tree that is a subset of DA over the tree's
+          leaves: a leaf that shares no bit with the query is skipped even
+          where its range holds positives the tree does not hold;
+        - on a full tree, which holds every element, the result equals DA.
+
+        A threshold <= 0 computes no estimate and no popcount: a node's AND
+        is tested on its first ``_PREFIX_WORDS`` words, and on the rest only
+        where those are empty; a query that sets no bit in those words has
+        every full row tested at once, since each prefix AND would be empty.
         """
         threshold = _check_threshold(threshold)
         self._check_query(query)
@@ -631,13 +641,29 @@ class BloomSampleTree:
     # serialization -----------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        """v2 layout: header, plan, family, node count, (level, j) index, words blob."""
+        """v2 layout: header, plan, family, node count, (level, j) index, words blob.
+
+        Every node that a build, a load or ``insert`` makes shares the
+        tree's family object and holds one contiguous little-endian row, so
+        for it the family test is one identity check and the join copies
+        its words straight into the output; other words are first copied
+        into such a row.  A node whose filter has another hash family than
+        the tree (another m included) raises ValueError naming its
+        ``(level, j)``: its file would fail to load, or load it under the
+        tree's family.
+        """
         keys = sorted(self.nodes)
+        family, rows = self.family, []
+        for key in keys:
+            node = self.nodes[key]
+            if node.family is not family and node.family != family:
+                what = (f"m = {node.m}, not the tree's m = {family.m}" if node.m != family.m
+                        else "another hash family than the tree")
+                raise ValueError(f"tree node {key} has {what}")
+            rows.append(np.ascontiguousarray(node.words, _WORD))
         return b"".join([_MAGIC, bytes([_VERSION]), self.plan.to_bytes(),
-                         self.family.to_bytes(), struct.pack("<Q", len(keys)),
-                         np.array(keys, dtype=_INDEX_ENTRY).tobytes(),
-                         *(self.nodes[key].words.astype("<u8", copy=False).tobytes()
-                           for key in keys)])
+                         family.to_bytes(), struct.pack("<Q", len(keys)),
+                         np.array(keys, dtype=_INDEX_ENTRY).tobytes(), *rows])
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "BloomSampleTree":
@@ -670,7 +696,7 @@ class BloomSampleTree:
         if len(data) > size:
             raise ValueError("tree file size does not match its node count")
         entries = np.frombuffer(data, _INDEX_ENTRY, count, offset)
-        words = np.frombuffer(data, "<u8", count * n_words, offset + entries.nbytes)
+        words = np.frombuffer(data, _WORD, count * n_words, offset + entries.nbytes)
         words = words.reshape(count, n_words)
         _check_index(entries["level"], entries["j"], plan.depth)
         keys = list(zip(entries["level"].tolist(), entries["j"].tolist()))
@@ -678,13 +704,16 @@ class BloomSampleTree:
         if bad.size:
             raise ValueError(f"tree node {keys[bad[0]]} sets a bit at or past m = {plan.m}")
         # the tree has checked the namespace, and the file size fixes the row width
-        tree.nodes = dict(zip(keys, map(partial(BloomFilter._row_view, family,
-                                                plan.namespace_size), words)))
+        tree.nodes = dict(zip(keys, BloomFilter._row_views(family, plan.namespace_size,
+                                                           words)))
         return tree
 
     def save(self, path) -> None:
+        """Write ``to_bytes()`` to ``path``; the bytes are made before the file
+        is opened, so a tree that the writer rejects leaves it untouched."""
+        data = self.to_bytes()
         with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
+            fh.write(data)
 
     @classmethod
     def load(cls, path) -> "BloomSampleTree":

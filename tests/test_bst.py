@@ -363,6 +363,68 @@ class TestReconstruct:
             assert np.array_equal(np.sort(got), oracle)
 
 
+def _threshold_zero_trees(kind):
+    """(name, tree, occupied) per tree shape the threshold-0 facts cover."""
+    rng = np.random.default_rng(4)
+    plan = plan_with_m(4000, 50_000, 3, 240.0)
+    fam = make_family(kind, 3, 4000, seed=4)
+    # the first 20 of 32 leaves hold a few elements each, the rest none
+    occ = rng.choice(30_000, 60, replace=False)
+    yield "pruned", BloomSampleTree.build_pruned(plan, fam, occ), occ
+    loaded = BloomSampleTree.from_bytes(BloomSampleTree.build_pruned(plan, fam, occ).to_bytes())
+    new = rng.choice(50_000, 20, replace=False)
+    for x in new.tolist():
+        loaded.insert(x)
+    yield "loaded", loaded, np.union1d(occ, new)
+    plan = plan_with_m(4000, 10_007, 3, 40.0)
+    assert plan.namespace_size % plan.leaf_size and plan.padded_size > plan.namespace_size
+    occ = np.append(rng.choice(5_000, 30, replace=False), 10_006)  # the short last leaf too
+    yield "ragged", BloomSampleTree.build_pruned(plan, fam, occ), occ
+
+
+class TestThresholdZeroOnPrunedTrees:
+    """What threshold-0 ``reconstruct`` returns where the tree does not hold
+    every element: every occupied positive, and exactly the dictionary scan
+    (DA) of the leaves it scans, a subset of DA over the tree's leaves."""
+
+    @pytest.mark.parametrize("kind", list(FamilyKind), ids=[k.name for k in FamilyKind])
+    def test_occupied_positives_and_da_of_the_scanned_leaves(self, kind):
+        rng = np.random.default_rng(5)
+        strict = 0
+        for name, tree, occ in _threshold_zero_trees(kind):
+            M, width, depth = tree.plan.namespace_size, tree.plan.leaf_size, tree.plan.depth
+            leaves = [j for level, j in tree.nodes if level == depth]
+            for _ in range(6):
+                members = np.union1d(rng.choice(occ, 10, replace=False),
+                                     rng.choice(M, 40, replace=False))
+                query = build_filter(tree.family, M, members)
+                found, counters = tree.reconstruct(query, 0.0)
+                da = baselines.da_reconstruct(M, query)[0]
+                assert np.isin(np.intersect1d(da, occ), found).all(), name
+                # a leaf is scanned iff it shares a bit with the query, since
+                # each node on its path holds the leaf's bits
+                scanned = [j for j in leaves
+                           if (tree.nodes[(depth, j)].words & query.words).any()]
+                assert counters.leaves_scanned == len(scanned), name
+                assert np.array_equal(found, da[np.isin(da // width, scanned)]), name
+                over_leaves = da[np.isin(da // width, leaves)]
+                assert np.isin(found, over_leaves).all(), name
+                strict += found.size < over_leaves.size
+        assert strict  # the subset is proper for some queries
+
+    @pytest.mark.parametrize("kind", list(FamilyKind), ids=[k.name for k in FamilyKind])
+    @pytest.mark.parametrize("M", [8_192, 10_007])
+    def test_full_tree_equals_da(self, kind, M):
+        plan = plan_with_m(4000, M, 3, 240.0)
+        fam = make_family(kind, 3, 4000, seed=4)
+        tree = BloomSampleTree.build_full(plan, fam)
+        rng = np.random.default_rng(6)
+        for n in (1, 30, 300):
+            query = build_filter(fam, M, rng.choice(M, n, replace=False))
+            found, _ = tree.reconstruct(query, 0.0)
+            assert np.array_equal(found, baselines.da_reconstruct(M, query)[0])
+
+
 class TestTreeSerialization:
     def test_round_trip_full(self):
         tree, plan, fam = small_tree(M=100, m=700, leaf_ratio=4.0)

@@ -330,29 +330,133 @@ class TestWriterAndLoaderCost:
         assert tree == _built()
 
 
-    def test_loader_makes_every_node_with_the_row_factory(self, monkeypatch):
-        data = _built().to_bytes()
-        calls = {"__init__": 0, "_row_view": 0}
-        init, row_view = BloomFilter.__init__, BloomFilter._row_view.__func__
+    @staticmethod
+    def _count_node_makers(monkeypatch) -> dict:
+        """Spy on ``BloomFilter.__init__`` and the batch row factory: calls to
+        each, and the filters that the factory made."""
+        calls = {"__init__": 0, "_row_views": 0, "filters": 0}
+        init, row_views = BloomFilter.__init__, BloomFilter._row_views.__func__
 
         def counted_init(self, *args, **kwargs):
             calls["__init__"] += 1
             init(self, *args, **kwargs)
 
-        def counted_row_view(cls, *args):
-            calls["_row_view"] += 1
-            return row_view(cls, *args)
+        def counted_row_views(cls, *args):
+            calls["_row_views"] += 1
+            flts = row_views(cls, *args)
+            calls["filters"] += len(flts)
+            return flts
 
         monkeypatch.setattr(BloomFilter, "__init__", counted_init)
-        monkeypatch.setattr(BloomFilter, "_row_view", classmethod(counted_row_view))
+        monkeypatch.setattr(BloomFilter, "_row_views", classmethod(counted_row_views))
+        return calls
+
+    def test_loader_makes_every_node_with_the_row_factory(self, monkeypatch):
+        data = _built().to_bytes()
+        calls = self._count_node_makers(monkeypatch)
         tree = BloomSampleTree.from_bytes(data)
         assert tree.node_count > 1
-        assert calls == {"__init__": 0, "_row_view": tree.node_count}
+        assert calls == {"__init__": 0, "_row_views": 1, "filters": tree.node_count}
+
+    @pytest.mark.parametrize("full", [True, False], ids=["build_full", "build_pruned"])
+    def test_builds_make_every_node_with_the_row_factory(self, monkeypatch, full):
+        plan = plan_with_m(997, M, 3, 240.0)
+        family = make_family(FamilyKind.MURMUR3, 3, 997, seed=11)
+        calls = self._count_node_makers(monkeypatch)
+        tree = (BloomSampleTree.build_full(plan, family) if full
+                else BloomSampleTree.build_pruned(plan, family, OCCUPIED))
+        assert tree.node_count > 1
+        # one factory call per level
+        assert calls == {"__init__": 0, "_row_views": plan.depth + 1,
+                         "filters": tree.node_count}
 
     def test_checked_keyword_is_gone(self):
         family = make_family(FamilyKind.MURMUR3, 3, 997, seed=2)
         with pytest.raises(TypeError, match="checked"):
             BloomFilter(family, M, checked=True)
+
+
+def _loaded(kind=FamilyKind.MURMUR3):
+    """A loaded tree with one written path, the rest read-only views."""
+    tree = BloomSampleTree.from_bytes(_built(kind).to_bytes())
+    tree.insert(40_000)
+    return tree
+
+
+NODE_KINDS = {"built": _built, "loaded": _loaded}
+
+
+class TestWriterChecksNodes:
+    @pytest.mark.parametrize("node_kind", list(NODE_KINDS))
+    def test_node_with_another_m_rejected(self, node_kind):
+        tree = NODE_KINDS[node_kind]()
+        tree.nodes[(1, 0)] = build_filter(make_family(FamilyKind.MURMUR3, 3, 500, seed=11),
+                                          M, [5])
+        with pytest.raises(ValueError, match=r"tree node \(1, 0\) has m = 500, "
+                                             r"not the tree's m = 997"):
+            tree.to_bytes()
+
+    @pytest.mark.parametrize("node_kind", list(NODE_KINDS))
+    def test_node_with_another_family_of_the_same_m_rejected(self, node_kind):
+        tree = NODE_KINDS[node_kind]()
+        for family in (make_family(FamilyKind.MURMUR3, 3, 997, seed=12),
+                       make_family(FamilyKind.MD5, 3, 997, seed=11)):
+            tree.nodes[(1, 0)] = build_filter(family, M, [5])
+            with pytest.raises(ValueError, match=r"tree node \(1, 0\) has another "
+                                                 "hash family than the tree"):
+                tree.to_bytes()
+
+    def test_first_bad_node_named(self):
+        tree = _built()
+        other = make_family(FamilyKind.MURMUR3, 3, 997, seed=12)
+        keys = sorted(tree.nodes)
+        for key in (keys[-1], keys[2]):
+            tree.nodes[key] = BloomFilter(other, M, words=tree.nodes[key].words)
+        with pytest.raises(ValueError, match=rf"tree node \({keys[2][0]}, {keys[2][1]}\)"):
+            tree.to_bytes()
+
+    @pytest.mark.parametrize("node_kind", list(NODE_KINDS))
+    def test_equal_family_of_another_object_written(self, node_kind):
+        tree = NODE_KINDS[node_kind]()
+        twin = make_family(FamilyKind.MURMUR3, 3, 997, seed=11)
+        assert twin == tree.family and twin is not tree.family
+        tree.nodes[(1, 0)] = BloomFilter(twin, M, words=tree.nodes[(1, 0)].words.copy())
+        data = tree.to_bytes()
+        assert data == _copying_writer(tree)
+        assert BloomSampleTree.from_bytes(data) == tree
+
+    @pytest.mark.parametrize("node_kind", list(NODE_KINDS))
+    def test_failed_save_leaves_the_file(self, tmp_path, node_kind):
+        path = tmp_path / "t.bstr"
+        tree = NODE_KINDS[node_kind]()
+        tree.save(path)
+        before = path.read_bytes()
+        tree.nodes[(1, 0)] = BloomFilter(make_family(FamilyKind.MURMUR3, 3, 500, seed=11), M)
+        with pytest.raises(ValueError, match="m = 500"):
+            tree.save(path)
+        assert path.read_bytes() == before
+        assert BloomSampleTree.load(path) != tree
+
+
+class TestWriterOnOtherWords:
+    def test_strided_node_words(self):
+        tree = _built()
+        words = tree.nodes[(1, 0)].words
+        big = np.zeros(2 * words.size, dtype=np.uint64)
+        big[::2] = words
+        tree.nodes[(1, 0)] = BloomFilter(tree.family, M, words=big[::2])
+        assert not tree.nodes[(1, 0)].words.flags.c_contiguous
+        with pytest.raises(TypeError):  # so the writer must copy these words first
+            b"".join([tree.nodes[(1, 0)].words])
+        data = tree.to_bytes()
+        assert data == _copying_writer(tree) == _built().to_bytes()
+        assert BloomSampleTree.from_bytes(data) == tree
+
+    def test_big_endian_node_words(self):
+        tree = _loaded()
+        node = tree.nodes[(1, 0)]
+        node.words = node.words.astype(">u8")
+        assert tree.to_bytes() == _copying_writer(tree) == _loaded().to_bytes()
 
 
 class TestQueryNamespace:
