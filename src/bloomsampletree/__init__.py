@@ -5,12 +5,11 @@ namespace level by level, which lets sampling and reconstruction prune
 away namespace regions that cannot overlap a query filter.
 """
 
-from .hashing import FamilyKind, HashFamily, make_family, hash_value, hash_many, preimage
+from .hashing import FamilyKind, HashFamily, make_family, hash_many, preimage
 from .bloom import BloomFilter, FamilyMismatchError, build_filter
 from .estimate import (
     fp_probability,
     population_estimate,
-    intersection_estimate,
     intersection_estimate_counts,
     fso_probability,
     uniformity_epsilon,

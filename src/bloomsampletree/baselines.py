@@ -33,17 +33,18 @@ class ReconstructionMode(enum.Enum):
     AUTO = "auto"
 
 
-def da_sample(namespace_size: int, query: BloomFilter, rng=None) -> SampleOutcome:
-    """Uniform sample of the positives: one draw from the exhaustive scan's.
-
-    Every namespace element is membership-tested, so the draw is uniform
-    over all positives.
-    """
-    rng = np.random.default_rng() if rng is None else rng
-    hits, counters = da_reconstruct(namespace_size, query)
+def _draw(hits: np.ndarray, counters: OpCounters, rng) -> SampleOutcome:
+    """One uniform draw from the positives ``hits`` of a reconstruction that
+    cost ``counters``; None if there are none."""
     if hits.size == 0:
         return SampleOutcome(None, counters)
+    rng = np.random.default_rng() if rng is None else rng
     return SampleOutcome(int(hits[rng.integers(hits.size)]), counters)
+
+
+def da_sample(namespace_size: int, query: BloomFilter, rng=None) -> SampleOutcome:
+    """Uniform sample of the positives: one draw from ``da_reconstruct``'s."""
+    return _draw(*da_reconstruct(namespace_size, query), rng)
 
 
 def da_reconstruct(namespace_size: int, query: BloomFilter) -> tuple[np.ndarray, OpCounters]:
@@ -54,31 +55,10 @@ def da_reconstruct(namespace_size: int, query: BloomFilter) -> tuple[np.ndarray,
 
 
 def hi_sample(query: BloomFilter, namespace_size: int, rng=None) -> SampleOutcome:
-    """Sample by inverting one randomly chosen set bit.
-
-    The preimages of the bit under each of the k hash functions are
-    pruned by membership queries; the result is a uniform draw from
-    their union.  Cost is O(m + k * M / m) probes; no uniformity
-    guarantee over the whole positive set is implied.
-    """
-    if not query.family.invertible:
-        raise NotImplementedError("hi_sample needs a weakly invertible hash family")
-    check_query_namespace(query, namespace_size)
-    rng = np.random.default_rng() if rng is None else rng
-    counters = OpCounters()
-    set_bits = query.set_bit_indices()
-    if set_bits.size == 0:
-        return SampleOutcome(None, counters)
-    s = int(set_bits[rng.integers(set_bits.size)])
-    parts = []
-    for i in range(query.family.k):
-        cand = preimage(query.family, i, s, namespace_size)
-        counters.membership_queries += int(cand.size)
-        parts.append(cand[query.contains_many(cand)])
-    kept = np.unique(np.concatenate(parts))
-    if kept.size == 0:
-        return SampleOutcome(None, counters)
-    return SampleOutcome(int(kept[rng.integers(kept.size)]), counters)
+    """Uniform sample of the positives: one draw from ``hi_reconstruct``'s,
+    which are the dictionary attack's, so the same ``rng`` state draws the
+    element ``da_sample`` draws."""
+    return _draw(*hi_reconstruct(query, namespace_size), rng)
 
 
 def hi_reconstruct(query: BloomFilter, namespace_size: int,
@@ -89,11 +69,14 @@ def hi_reconstruct(query: BloomFilter, namespace_size: int,
     Set-bit mode probes the h_0 preimages of the set bits, which hold each
     positive once.  Unset-bit mode (cheaper for dense filters) keeps what no
     h_i maps to an unset bit.  Both equal the dictionary-attack oracle exactly.
-    ``membership_queries`` counts candidates probed, or preimage elements marked.
+    ``mode`` is a ``ReconstructionMode`` or its value ("set", "unset",
+    "auto"); anything else raises ValueError.  ``membership_queries`` counts
+    candidates probed, or preimage elements marked.
     """
     if not query.family.invertible:
-        raise NotImplementedError("hi_reconstruct needs a weakly invertible hash family")
+        raise NotImplementedError("HashInvert needs a weakly invertible hash family")
     check_query_namespace(query, namespace_size)
+    mode = ReconstructionMode(mode)
     if mode == ReconstructionMode.AUTO:
         mode = (ReconstructionMode.UNSET_BITS if query.popcount() > query.m / 2
                 else ReconstructionMode.SET_BITS)

@@ -15,7 +15,8 @@ import numpy as np
 
 from .hashing import HashFamily, _hash_ints, hash_many
 
-__all__ = ["BloomFilter", "FamilyMismatchError", "as_elements", "check_query_namespace"]
+__all__ = ["BloomFilter", "FamilyMismatchError", "as_elements", "check_element",
+           "check_elements", "check_query_namespace"]
 
 _MAGIC = b"BFLT"
 _VERSION = 1
@@ -68,6 +69,24 @@ def as_elements(values) -> np.ndarray:
             raise ValueError(f"element {bad[0]} is outside int64")
         arr = np.array(ints, dtype=np.int64)
     return arr.astype(np.int64, copy=False).ravel()
+
+
+def check_elements(values, namespace_size: int) -> np.ndarray:
+    """``as_elements(values)``, every element inside [0, namespace_size);
+    otherwise ValueError naming the first element outside."""
+    xs = as_elements(values)
+    if xs.size and (xs.min() < 0 or xs.max() >= namespace_size):
+        bad = xs[(xs < 0) | (xs >= namespace_size)][0]
+        raise ValueError(f"element {bad} outside namespace [0, {namespace_size})")
+    return xs
+
+
+def check_element(x, namespace_size: int) -> int:
+    """One element by the rule of ``check_elements``, as a Python int."""
+    x = _exact_int(x)
+    if not 0 <= x < namespace_size:
+        raise ValueError(f"element {x} outside namespace [0, {namespace_size})")
+    return x
 
 
 def filter_rows(family: HashFamily, arrays: list,
@@ -197,16 +216,9 @@ class BloomFilter:
     def m(self) -> int:
         return self.family.m
 
-    def _check_element(self, x) -> int:
-        """``x`` as an int, by the rule of ``as_elements``, inside [0, M)."""
-        x = _exact_int(x)
-        if not 0 <= x < self.namespace_size:
-            raise ValueError(f"element {x} outside namespace [0, {self.namespace_size})")
-        return x
-
     def insert(self, x: int) -> None:
         """Set the k bits of element ``x``."""
-        x = self._check_element(x)
+        x = check_element(x, self.namespace_size)
         self.insert_masks(word_masks(self.family, x))
 
     def _own_words(self) -> np.ndarray:
@@ -240,21 +252,18 @@ class BloomFilter:
         """Bulk insert; equivalent to inserting each element in turn.
 
         The one-array case of ``filter_rows``, ORed into ``words``; the
-        elements pass through ``as_elements``, so a value int64 cannot hold
-        exactly raises ValueError.
+        elements pass through ``check_elements``.
         """
-        xs = as_elements(xs)
+        xs = check_elements(xs, self.namespace_size)
         if xs.size == 0:
             return
-        if xs.min() < 0 or xs.max() >= self.namespace_size:
-            raise ValueError("element outside declared namespace")
         words = self._own_words()
         words |= filter_rows(self.family, [xs])[0]
         self._popcount = None
 
     def contains(self, x: int) -> bool:
         """Whether all k bits of element ``x`` are set."""
-        x = self._check_element(x)
+        x = check_element(x, self.namespace_size)
         words = self.words
         return all(words.item(w) & mask == mask
                    for w, mask in word_masks(self.family, x).items())
@@ -288,13 +297,14 @@ class BloomFilter:
                 & _ONE).astype(bool)
 
     def contains_many(self, xs: np.ndarray) -> np.ndarray:
-        """Boolean array: all k probed bits set, per element.
+        """Boolean array: all k probed bits set, per element of
+        ``check_elements(xs, namespace_size)``.
 
         Hashes every element k times.  The bits are unpacked only when the
         call has enough probes; nothing is cached, since ``words`` may be
         edited.
         """
-        xs = np.asarray(xs, dtype=np.int64)
+        xs = check_elements(xs, self.namespace_size)
         bits = self._bits_for(xs.size)
         ok = np.ones(xs.shape, dtype=bool)
         for i in range(self.family.k):
@@ -367,9 +377,6 @@ class BloomFilter:
             self._popcount = int(np.bitwise_count(self.words).sum())
         return self._popcount
 
-    def is_zero(self) -> bool:
-        return self.popcount() == 0
-
     def set_bit_indices(self) -> np.ndarray:
         """Positions of set bits, ascending."""
         bits = np.unpackbits(self.words.view(np.uint8), bitorder="little")[: self.m]
@@ -378,9 +385,6 @@ class BloomFilter:
     def unset_bit_indices(self) -> np.ndarray:
         bits = np.unpackbits(self.words.view(np.uint8), bitorder="little")[: self.m]
         return np.nonzero(~bits.astype(bool))[0].astype(np.int64)
-
-    def copy(self) -> "BloomFilter":
-        return BloomFilter(self.family, self.namespace_size, words=self.words.copy())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BloomFilter):

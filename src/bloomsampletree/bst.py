@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .bloom import (BloomFilter, FamilyMismatchError, _exact_int, as_elements,
+from .bloom import (BloomFilter, FamilyMismatchError, check_element, check_elements,
                     check_query_namespace, filter_rows, tail_mask, word_masks)
 from .estimate import fp_probability, intersection_estimate_counts
 from .hashing import HashFamily
@@ -373,13 +373,11 @@ class BloomSampleTree:
     def build_pruned(cls, plan: TreePlan, family, occupied) -> "BloomSampleTree":
         """Materialize only nodes whose range holds occupied elements.
 
-        ``occupied`` passes through ``as_elements``, so a value that is not
-        an integer, or that int64 cannot hold, raises ValueError.
+        ``occupied`` passes through ``check_elements``, so a value that is
+        not an integer or lies outside [0, M) raises ValueError.
         """
         tree = cls(plan, family)
-        occ = np.sort(as_elements(occupied))
-        if occ.size and (occ[0] < 0 or occ[-1] >= plan.namespace_size):
-            raise ValueError("occupied element outside the namespace")
+        occ = np.sort(check_elements(occupied, plan.namespace_size))
         occ = occ[np.diff(occ, prepend=-1) > 0]  # drop repeats; cheaper than np.unique
         # leaf boundaries come from the data, so a sparse namespace costs O(n)
         leaf = occ // plan.leaf_size
@@ -390,13 +388,10 @@ class BloomSampleTree:
         """Add one occupied element, creating missing path nodes.
 
         Hashes x once into its k word masks, then ORs those (at most k
-        words) into the leaf and each of its depth ancestors.  ``x`` is
-        checked by the rule of ``as_elements``, so 2.0 is 2 and 2.5 raises
-        ValueError.
+        words) into the leaf and each of its depth ancestors.  ``x`` passes
+        through ``check_element``, so 2.0 is 2 and 2.5 raises ValueError.
         """
-        x = _exact_int(x)
-        if not 0 <= x < self.plan.namespace_size:
-            raise ValueError(f"element {x} outside namespace")
+        x = check_element(x, self.plan.namespace_size)
         masks = word_masks(self.family, x)
         depth, leaf = self.plan.depth, x // self.plan.leaf_size
         for level in range(depth + 1):
@@ -407,10 +402,6 @@ class BloomSampleTree:
             node.insert_masks(masks)
 
     # geometry ----------------------------------------------------------
-
-    def node_range(self, level: int, j: int) -> tuple[int, int]:
-        width = self.plan.padded_size >> level
-        return j * width, (j + 1) * width
 
     @property
     def node_count(self) -> int:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Optional
 
 import numpy as np
 
@@ -105,16 +106,17 @@ def _load_tree(args) -> BloomSampleTree:
     return tree
 
 
-def _load_query(args, tree: BloomSampleTree) -> BloomFilter:
+def _load_query(args, tree: BloomSampleTree) -> tuple[BloomFilter, Optional[list]]:
+    """The query filter, and the elements of ``--set`` (None for ``--query``)."""
     if args.set is not None:
         elements = [int(v) for v in args.set.split(",") if v.strip()]
         # inline sets use the tree's own family so hash compatibility holds
-        return build_filter(tree.family, tree.plan.namespace_size, elements)
+        return build_filter(tree.family, tree.plan.namespace_size, elements), elements
     if args.query is None:
         raise SystemExit("error: provide --query FILE or --set ELEMENTS")
     query = BloomFilter.load(args.query)
     check_query_namespace(query, tree.plan.namespace_size)
-    return query
+    return query, None
 
 
 def _add_query_args(p):
@@ -133,7 +135,7 @@ def _print_counters(counters):
 
 def cmd_sample(args) -> int:
     tree = _load_tree(args)
-    query = _load_query(args, tree)
+    query, _ = _load_query(args, tree)
     rng = np.random.default_rng(args.seed)
     outcomes = tree.sample_many(query, args.r, args.with_replacement,
                                 args.threshold, rng)
@@ -147,7 +149,7 @@ def cmd_sample(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     tree = _load_tree(args)
-    query = _load_query(args, tree)
+    query, _ = _load_query(args, tree)
     _, reconstruct = baselines.ALGORITHMS[args.algo]
     elements, counters = reconstruct(tree, query, tree.plan.namespace_size, args.threshold)
     for x in elements:
@@ -158,15 +160,15 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_chi2(args) -> int:
     tree = _load_tree(args)
-    query = _load_query(args, tree)
+    query, elements = _load_query(args, tree)
     positives, _ = baselines.da_reconstruct(tree.plan.namespace_size, query)
     if positives.size < 2:
         raise SystemExit("error: need at least two positive elements for chi-squared")
     if args.T is not None:
         T = args.T
     else:
-        if args.set is not None:
-            n = len({int(v) for v in args.set.split(",") if v.strip()})
+        if elements is not None:
+            n = len(set(elements))
         elif query.popcount() == query.m:
             raise ValueError("the query filter is saturated, so its population "
                              "cannot be estimated; give the rounds with -T")

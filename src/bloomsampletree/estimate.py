@@ -14,7 +14,6 @@ from .bloom import BloomFilter
 __all__ = [
     "fp_probability",
     "population_estimate",
-    "intersection_estimate",
     "intersection_estimate_counts",
     "fso_probability",
     "uniformity_epsilon",
@@ -79,15 +78,6 @@ def intersection_estimate_counts(m: int, k: int, t1: int, t2: int, t_and: int) -
     if not math.isfinite(raw):
         return math.inf if raw > 0 else 0.0
     return max(raw, 0.0)
-
-
-def intersection_estimate(f1: BloomFilter, f2: BloomFilter) -> float:
-    """Estimated intersection cardinality of the sets behind two filters."""
-    f1._check_compatible(f2)
-    t_and = f1.intersect(f2).popcount()
-    return intersection_estimate_counts(
-        f1.m, f1.family.k, f1.popcount(), f2.popcount(), t_and
-    )
 
 
 def fso_probability(m: int, k: int, s1: int, s2: int) -> float:

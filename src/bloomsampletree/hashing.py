@@ -21,7 +21,6 @@ __all__ = [
     "FAMILY_NAMES",
     "HashFamily",
     "make_family",
-    "hash_value",
     "hash_many",
     "preimage",
 ]
@@ -244,11 +243,6 @@ def hash_many(family: HashFamily, i: int, xs: np.ndarray) -> np.ndarray:
     if small:
         return (h % np.uint64(family.m)).astype(np.int64)
     return _reduce(h, np.uint64(family.m)).view(np.int64)
-
-
-def hash_value(family: HashFamily, i: int, x: int) -> int:
-    """Bit position of element ``x`` under hash function ``i``."""
-    return int(hash_many(family, i, x))
 
 
 def preimage(family: HashFamily, i: int, s, namespace_size: int) -> np.ndarray:

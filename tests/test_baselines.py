@@ -15,7 +15,7 @@ from bloomsampletree.baselines import (
 from bloomsampletree.bloom import BloomFilter, build_filter
 from bloomsampletree.bst import OpCounters, SampleOutcome
 from bloomsampletree.estimate import fp_probability
-from bloomsampletree.hashing import FamilyKind, hash_many, make_family, preimage
+from bloomsampletree.hashing import FamilyKind, hash_many, make_family
 
 
 class TestDaSample:
@@ -97,17 +97,31 @@ class TestHiSample:
             out = hi_sample(q, 10**4, rng=rng)
             assert out.element in positives
 
-    def test_probe_cost_scales_with_preimage_size(self):
-        # k preimages of ~M/m candidates each
-        fam = make_family(FamilyKind.SIMPLE_LINEAR, 3, 997, seed=9)
-        q = build_filter(fam, 10**5, [42])
-        out = hi_sample(q, 10**5, rng=np.random.default_rng(9))
-        assert out.counters.membership_queries <= 3 * (10**5 // 997 + 1)
-
     def test_non_invertible_family_rejected(self):
         fam = make_family(FamilyKind.MURMUR3, 3, 100, seed=10)
         with pytest.raises(NotImplementedError):
             hi_sample(BloomFilter(fam, 100), 100)
+
+    @pytest.mark.parametrize("n", [1, 30, 300])
+    def test_draws_what_da_sample_draws(self, n):
+        # both draw once from the same positives, so a seed picks the same element
+        M = 10**4
+        fam = make_family(FamilyKind.SIMPLE_LINEAR, 3, 499, seed=n)
+        q = build_filter(fam, M, np.random.default_rng(n).choice(M, size=n, replace=False))
+        for seed in range(25):
+            hi = hi_sample(q, M, np.random.default_rng(seed))
+            assert hi.element is not None
+            assert hi.element == da_sample(M, q, np.random.default_rng(seed)).element
+
+    @pytest.mark.parametrize("n", [0, 30, 300])
+    def test_counters_are_those_of_hi_reconstruct(self, n):
+        M = 10**4
+        fam = make_family(FamilyKind.SIMPLE_LINEAR, 3, 499, seed=n)
+        q = build_filter(fam, M, np.random.default_rng(n).choice(M, size=n, replace=False))
+        assert (q.popcount() > q.m / 2) == (n == 300)  # AUTO runs both modes
+        out = hi_sample(q, M, np.random.default_rng(n))
+        assert out.counters == hi_reconstruct(q, M)[1]
+        assert out.counters.membership_queries > 0 or n == 0
 
 
 class TestHiReconstruct:
@@ -151,6 +165,23 @@ class TestHiReconstruct:
         fam = make_family(FamilyKind.MD5, 3, 100, seed=15)
         with pytest.raises(NotImplementedError):
             hi_reconstruct(BloomFilter(fam, 100), 100, ReconstructionMode.SET_BITS)
+
+    def test_mode_by_value(self):
+        fam = make_family(FamilyKind.SIMPLE_LINEAR, 3, 101, seed=17)
+        q = build_filter(fam, 5000, [3, 77, 4000])
+        for mode in ReconstructionMode:
+            got = hi_reconstruct(q, 5000, mode.value)
+            want = hi_reconstruct(q, 5000, mode)
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        # the modes count differently, so the counters show which one ran
+        assert (hi_reconstruct(q, 5000, "set")[1]
+                != hi_reconstruct(q, 5000, ReconstructionMode.UNSET_BITS)[1])
+
+    @pytest.mark.parametrize("mode", [None, "SET_BITS", "sets", 0, ""])
+    def test_unknown_mode_rejected(self, mode):
+        fam = make_family(FamilyKind.SIMPLE_LINEAR, 3, 101, seed=18)
+        with pytest.raises(ValueError, match="ReconstructionMode"):
+            hi_reconstruct(build_filter(fam, 5000, [3]), 5000, mode)
 
 
 class TestHiReconstructWindows:
@@ -209,25 +240,6 @@ def reservoir_da_sample(namespace_size, query, rng):
     return SampleOutcome(reservoir, counters)
 
 
-def reservoir_hi_sample(query, namespace_size, rng):
-    """The earlier HI sampler: a reservoir over the distinct pruned preimages."""
-    counters = OpCounters()
-    set_bits = query.set_bit_indices()
-    if set_bits.size == 0:
-        return SampleOutcome(None, counters)
-    s = int(set_bits[rng.integers(set_bits.size)])
-    seen, reservoir = set(), None
-    for i in range(query.family.k):
-        cand = preimage(query.family, i, s, namespace_size)
-        counters.membership_queries += int(cand.size)
-        for x in cand[query.contains_many(cand)].tolist():
-            if x not in seen:
-                seen.add(x)
-                if rng.random() < 1.0 / len(seen):
-                    reservoir = x
-    return SampleOutcome(reservoir, counters)
-
-
 class TestSamplersAgainstReservoir:
     """Drawing from the positives in memory costs what the reservoir did."""
 
@@ -238,12 +250,10 @@ class TestSamplersAgainstReservoir:
         q = build_filter(fam, M, np.random.default_rng(n).choice(M, size=n, replace=False))
         positives = set(da_reconstruct(M, q)[0].tolist())
         for seed in range(25):
-            for new, old in ((da_sample(M, q, np.random.default_rng(seed)),
-                              reservoir_da_sample(M, q, np.random.default_rng(seed))),
-                             (hi_sample(q, M, np.random.default_rng(seed)),
-                              reservoir_hi_sample(q, M, np.random.default_rng(seed)))):
-                assert new.counters == old.counters
-                assert new.element in positives and old.element in positives
+            new = da_sample(M, q, np.random.default_rng(seed))
+            old = reservoir_da_sample(M, q, np.random.default_rng(seed))
+            assert new.counters == old.counters
+            assert new.element in positives and old.element in positives
 
 
 def test_hi_sample_uniform_over_preimage_positives():

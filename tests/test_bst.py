@@ -19,7 +19,6 @@ from bloomsampletree.bst import (
     max_leaf_capacity,
 )
 from bloomsampletree.estimate import (
-    intersection_estimate,
     intersection_estimate_counts,
     sample_visit_bound,
 )
@@ -36,6 +35,12 @@ def small_tree(M=16, m=500, k=3, seed=0, leaf_ratio=2.0, family_kind=FamilyKind.
     else:
         tree = BloomSampleTree.build_pruned(plan, fam, occupied)
     return tree, plan, fam
+
+
+def _estimate(node, query) -> float:
+    """The tree's estimate of |node ∩ query|, from the two popcounts and the AND's."""
+    return intersection_estimate_counts(node.m, node.family.k, node.popcount(), query.popcount(),
+                                        int(np.bitwise_count(node.words & query.words).sum()))
 
 
 class TestPlanner:
@@ -102,8 +107,9 @@ class TestBuild:
         tree, plan, _ = small_tree(M=16, leaf_ratio=2.0)
         assert plan.depth == 2 and plan.leaf_size == 4
         assert tree.node_count == 7
-        assert [tree.node_range(2, j) for j in range(4)] == [
-            (0, 4), (4, 8), (8, 12), (12, 16)]
+        assert sorted(tree.nodes) == [(0, 0), (1, 0), (1, 1), *((2, j) for j in range(4))]
+        for j in range(4):
+            assert tree.nodes[(2, j)] == build_filter(tree.family, 16, range(4 * j, 4 * j + 4))
 
     def test_zero_depth_tree(self):
         plan = plan_with_m(500, 100, 3, 10**9)
@@ -213,9 +219,8 @@ class TestSample:
         # symmetric singleton halves give exactly equal child estimates
         tree, plan, fam = small_tree(M=8, m=4096, leaf_ratio=2.0)
         q = build_filter(fam, 8, [0, 4])
-        est = intersection_estimate(tree.nodes[(1, 0)].intersect(q), q)
-        est_l = intersection_estimate(tree.nodes[(1, 0)], q)
-        est_r = intersection_estimate(tree.nodes[(1, 1)], q)
+        est_l = _estimate(tree.nodes[(1, 0)], q)
+        est_r = _estimate(tree.nodes[(1, 1)], q)
         assert est_l == est_r
         rng = np.random.default_rng(3)
         for _ in range(20):
@@ -275,8 +280,8 @@ class TestSampleMany:
     def test_left_path_count_binomial(self):
         tree, plan, fam = small_tree(M=8, m=4096, leaf_ratio=2.0)
         q = build_filter(fam, 8, [0, 1, 4])
-        est_l = intersection_estimate(tree.nodes[(1, 0)], q)
-        est_r = intersection_estimate(tree.nodes[(1, 1)], q)
+        est_l = _estimate(tree.nodes[(1, 0)], q)
+        est_r = _estimate(tree.nodes[(1, 1)], q)
         p = est_l / (est_l + est_r)
         rng = np.random.default_rng(17)
         total_left = 0
@@ -1114,8 +1119,9 @@ def reference_sample_many(tree, query, r, with_replacement=True,
         level, j = key
         if level == plan.depth:
             if key not in leaf_cache:
-                lo, hi = tree.node_range(level, j)
-                xs = np.arange(lo, min(hi, plan.namespace_size), dtype=np.int64)
+                lo = j * plan.leaf_size
+                xs = np.arange(lo, min(lo + plan.leaf_size, plan.namespace_size),
+                               dtype=np.int64)
                 leaf_cache[key] = xs[query.contains_many(xs)]
                 counters.membership_queries += xs.size
                 counters.leaves_scanned += 1
@@ -1184,11 +1190,8 @@ def _saturated_tree():
 
 def _thresholds(tree, query):
     """0, 0.5, 2 and the median positive finite estimate of a node."""
-    ests = sorted(e for e in (
-        intersection_estimate_counts(tree.plan.m, tree.plan.k, node.popcount(),
-                                     query.popcount(),
-                                     int(np.bitwise_count(node.words & query.words).sum()))
-        for node in tree.nodes.values()) if 0 < e < math.inf)
+    ests = sorted(e for e in (_estimate(node, query) for node in tree.nodes.values())
+                  if 0 < e < math.inf)
     return [0.0, 0.5, 2.0] + ests[len(ests) // 2:len(ests) // 2 + 1]
 
 
@@ -1201,8 +1204,8 @@ class TestIterativeSampler:
         thresholds = _thresholds(tree, query)
         assert len(thresholds) == (3 if case == "empty" else 4)
         if case == "tie":  # both level-1 estimates equal one of the thresholds
-            assert intersection_estimate(tree.nodes[(1, 0)], query) == \
-                intersection_estimate(tree.nodes[(1, 1)], query) in thresholds
+            assert _estimate(tree.nodes[(1, 0)], query) == \
+                _estimate(tree.nodes[(1, 1)], query) in thresholds
         seed = 0
         for threshold in thresholds:
             for with_replacement in (True, False):

@@ -16,7 +16,7 @@ FAMILIES = list(FamilyKind)
 
 def reference_build(plan, family, occupied=None) -> BloomSampleTree:
     """Fill each leaf with its own ``insert_many`` and OR upward with ``union``
-    (a ``copy`` for an only child), as the builder did before batching."""
+    (a copy of the words for an only child), as the builder did before batching."""
     M, width, depth = plan.namespace_size, plan.leaf_size, plan.depth
     if occupied is None:
         leaves = {j: np.arange(j * width, min((j + 1) * width, M)) for j in range(1 << depth)}
@@ -31,7 +31,8 @@ def reference_build(plan, family, occupied=None) -> BloomSampleTree:
         for j in sorted({c >> 1 for lvl, c in nodes if lvl == level + 1}):
             kids = [nodes[key] for key in ((level + 1, 2 * j), (level + 1, 2 * j + 1))
                     if key in nodes]
-            nodes[(level, j)] = kids[0].union(kids[1]) if len(kids) == 2 else kids[0].copy()
+            nodes[(level, j)] = (kids[0].union(kids[1]) if len(kids) == 2
+                                  else BloomFilter(family, M, kids[0].words.copy()))
     return BloomSampleTree(plan, family, nodes)
 
 
@@ -154,9 +155,10 @@ class TestMatchesReference:
         fam = make_family(FamilyKind.MURMUR3, 3, 64)
         tree = BloomSampleTree.build_full(plan, fam)
         for j in range(4):
-            lo, hi = tree.node_range(2, j)
-            assert tree.nodes[(2, j)] == build_filter(fam, 9, range(lo, min(hi, 9))), j
-        assert tree.nodes[(2, 3)].is_zero()
+            lo = j * plan.leaf_size
+            leaf = range(lo, min(lo + plan.leaf_size, 9))
+            assert tree.nodes[(2, j)] == build_filter(fam, 9, leaf), j
+        assert tree.nodes[(2, 3)].popcount() == 0
 
 
 class TestHashesOncePerElement:
@@ -254,12 +256,14 @@ class TestLevelRowsDoNotAlias:
         tree = _built(case)
         key = max(tree.nodes)
         node, ones = tree.nodes[key], (1 << 64) - 1
-        copy, saved = node.copy(), node.words.copy()
+        saved = node.words.copy()
+        copy = BloomFilter(node.family, node.namespace_size, saved.copy())
         copy.insert_masks({0: ones})
         assert np.array_equal(node.words, saved)
         node.insert_masks({w: ones for w in range(1, len(saved))})
-        tree.insert(tree.node_range(*key)[0])
+        first = key[1] * (tree.plan.padded_size >> key[0])  # the node's first element
+        tree.insert(first)
         assert int(copy.words[0]) == ones
         assert np.array_equal(copy.words[1:], saved[1:])
         assert int(node.words[0]) == int(saved[0]) | bloom.word_masks(
-            tree.family, tree.node_range(*key)[0]).get(0, 0)
+            tree.family, first).get(0, 0)

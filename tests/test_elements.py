@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from bloomsampletree.bloom import as_elements, build_filter
+from bloomsampletree.bloom import BloomFilter, as_elements, build_filter, check_elements
 from bloomsampletree.bst import BloomSampleTree, plan_with_m
 from bloomsampletree.cli import main
 from bloomsampletree.hashing import FamilyKind, make_family
@@ -90,7 +90,7 @@ class TestScalarElements:
         f = build_filter(FAM, M, [])
         with pytest.raises(ValueError, match="not an integer"):
             f.insert(1.5)
-        assert f.is_zero()
+        assert f.popcount() == 0
 
     def test_filter_contains_non_integral(self):
         f = build_filter(FAM, M, [1])
@@ -112,6 +112,57 @@ class TestScalarElements:
         tree.insert(2.0)
         tree.insert(np.int64(7))
         assert tree == BloomSampleTree.build_pruned(PLAN, FAM, [2, 7])
+
+
+class TestNamespaceRule:
+    """Every element entry point checks [0, M) by one rule, naming the first
+    element outside."""
+
+    @pytest.mark.parametrize("values, bad", [
+        ([5, M, -1], M), ([-1, M], -1), (np.array([3, 2**62, 4]), 2**62), ([M + 0.0], M)])
+    def test_check_elements_names_the_first_outside(self, values, bad):
+        with pytest.raises(ValueError, match=rf"^element {bad} outside namespace \[0, {M}\)$"):
+            check_elements(values, M)
+
+    def test_check_elements_keeps_what_is_inside(self):
+        assert check_elements([0, M - 1, 2.0], M).tolist() == [0, M - 1, 2]
+        assert check_elements([], M).size == 0
+
+    CALLS = {
+        "insert_many": lambda f, xs: f.insert_many(xs),
+        "contains_many": lambda f, xs: f.contains_many(xs),
+        "insert": lambda f, xs: [f.insert(x) for x in xs],
+        "contains": lambda f, xs: [f.contains(x) for x in xs],
+        "build_pruned": lambda f, xs: BloomSampleTree.build_pruned(PLAN, FAM, xs),
+        "tree_insert": lambda f, xs: [BloomSampleTree.build_pruned(PLAN, FAM, []).insert(x)
+                                      for x in xs],
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_every_entry_point_rejects_alike(self, name):
+        call, f = self.CALLS[name], build_filter(FAM, M, [2])
+        for xs, message in (([7, M, -3], f"element {M} outside namespace"),
+                            ([7, -3], "element -3 outside namespace"),
+                            ([7, 2.5], "element 2.5 is not an integer")):
+            with pytest.raises(ValueError, match=f"^{message}"):
+                call(f, xs)
+
+    def test_contains_many_reads_no_fraction_as_its_floor(self):
+        f = build_filter(FAM, M, [2])
+        assert f.contains_many([2.0, 3.0]).tolist() == [True, f.contains(3)]
+        with pytest.raises(ValueError, match="not an integer"):
+            f.contains_many([2.5, 2.9])
+
+    def test_contains_many_past_the_linear_namespace_limit(self):
+        fam = make_family(FamilyKind.SIMPLE_LINEAR, 3, 1009, seed=2)
+        f = BloomFilter(fam, fam.namespace_limit)
+        f.insert(fam.namespace_limit - 1)
+        assert f.contains_many([fam.namespace_limit - 1]).tolist() == [True]
+        for x in (fam.namespace_limit, 2**63 - 1):
+            with pytest.raises(ValueError, match=f"element {x} outside"):
+                f.contains_many([x])
+            with pytest.raises(ValueError, match=f"element {x} outside"):
+                f.contains(x)
 
 
 def run(capsys, *argv):

@@ -8,7 +8,6 @@ from bloomsampletree.bloom import BloomFilter, build_filter
 from bloomsampletree.estimate import (
     fp_probability,
     population_estimate,
-    intersection_estimate,
     intersection_estimate_counts,
     fso_probability,
     uniformity_epsilon,
@@ -88,6 +87,12 @@ class TestPopulationEstimate:
             prev = cur
 
 
+def _estimate(f1, f2) -> float:
+    """Estimated |A ∩ B| of two filters, from their popcounts and their AND's."""
+    t_and = int(np.bitwise_count(f1.words & f2.words).sum())
+    return intersection_estimate_counts(f1.m, f1.family.k, f1.popcount(), f2.popcount(), t_and)
+
+
 class TestIntersectionEstimate:
     def setup_method(self):
         self.fam = make_family(FamilyKind.MURMUR3, 3, 10**4, seed=3)
@@ -95,12 +100,12 @@ class TestIntersectionEstimate:
     def test_zero_filter_gives_zero(self):
         f1 = build_filter(self.fam, 10**5, range(100))
         f2 = BloomFilter(self.fam, 10**5)
-        assert intersection_estimate(f1, f2) == 0.0
+        assert _estimate(f1, f2) == 0.0
 
     def test_self_intersection_near_population(self):
         rng = np.random.default_rng(4)
         f = build_filter(self.fam, 10**6, rng.choice(10**6, size=100, replace=False))
-        est = intersection_estimate(f, f)
+        est = _estimate(f, f)
         assert est == pytest.approx(100, rel=0.15)
 
     def test_disjoint_sets_below_half(self):
@@ -111,7 +116,7 @@ class TestIntersectionEstimate:
             pool = rng.choice(10**6, size=20, replace=False)
             f1 = build_filter(fam, 10**6, pool[:10])
             f2 = build_filter(fam, 10**6, pool[10:])
-            if intersection_estimate(f1, f2) < 0.5:
+            if _estimate(f1, f2) < 0.5:
                 low += 1
         assert low >= 198
 
@@ -120,8 +125,7 @@ class TestIntersectionEstimate:
         for _ in range(20):
             f1 = build_filter(self.fam, 10**6, rng.choice(10**6, size=50))
             f2 = build_filter(self.fam, 10**6, rng.choice(10**6, size=80))
-            assert intersection_estimate(f1, f2) == pytest.approx(
-                intersection_estimate(f2, f1), abs=1e-9)
+            assert _estimate(f1, f2) == pytest.approx(_estimate(f2, f1), abs=1e-9)
 
     def test_zero_and_count_short_circuit(self):
         assert intersection_estimate_counts(100, 3, 40, 50, 0) == 0.0

@@ -332,10 +332,10 @@ class TestRunSweep:
         "da,100000,100,0.9,simple,clustered,0.0,100000.0,0.0,5",
         "da,100000,300,0.9,simple,uniform,0.0,100000.0,0.0,5",
         "da,100000,300,0.9,simple,clustered,0.0,100000.0,0.0,5",
-        "hi,100000,100,0.9,simple,uniform,0.0,49.2,0.0,5",
-        "hi,100000,100,0.9,simple,clustered,0.0,49.2,0.0,5",
-        "hi,100000,300,0.9,simple,uniform,0.0,24.0,0.0,5",
-        "hi,100000,300,0.9,simple,clustered,0.0,24.0,0.0,5",
+        "hi,100000,100,0.9,simple,uniform,0.0,4813.0,0.0,5",
+        "hi,100000,100,0.9,simple,clustered,0.0,4781.0,0.0,5",
+        "hi,100000,300,0.9,simple,uniform,0.0,7025.0,0.0,5",
+        "hi,100000,300,0.9,simple,clustered,0.0,7035.0,0.0,5",
         "bst,100000,150,0.8,murmur3,uniform,12.0,1875.6,7.2,5",
         "bst,100000,150,0.8,murmur3,clustered,13.6,2188.2,8.2,5",
         "bst,100000,150,0.8,md5,uniform,12.0,1556.6,7.0,5",

@@ -8,7 +8,6 @@ from bloomsampletree.hashing import (
     FamilyKind,
     HashFamily,
     make_family,
-    hash_value,
     hash_many,
     preimage,
 )
@@ -21,11 +20,11 @@ def linear(k, m, pairs):
 class TestHashValues:
     def test_identity_coefficients(self):
         fam = linear(1, 10, [(1, 0)])
-        assert hash_value(fam, 0, 7) == 7
+        assert hash_many(fam, 0, 7) == 7
 
     def test_direct_arithmetic(self):
         fam = linear(1, 10, [(3, 2)])
-        assert hash_value(fam, 0, 6) == (3 * 6 + 2) % 10
+        assert hash_many(fam, 0, 6) == (3 * 6 + 2) % 10
 
     def test_murmur_deterministic(self):
         fam = make_family(FamilyKind.MURMUR3, 3, 997, seed=42)
@@ -58,12 +57,12 @@ class TestHashValues:
         seed = fam.params[0]
         digest = hashlib.md5(struct.pack("<QQ", seed, 1234)).digest()
         expect = int.from_bytes(digest[:8], "little") % 1000
-        assert hash_value(fam, 0, 1234) == expect
+        assert hash_many(fam, 0, 1234) == expect
 
     def test_index_out_of_range(self):
         fam = make_family(FamilyKind.MURMUR3, 2, 100, seed=0)
         with pytest.raises(IndexError):
-            hash_value(fam, 2, 5)
+            hash_many(fam, 2, 5)
 
     def test_murmur_bucket_occupancy(self):
         # every bucket count within 5 sigma of N/m for m <= 1024
@@ -96,7 +95,7 @@ class TestPreimage:
             for x in rng.integers(0, 10**4, size=20):
                 x = int(x)
                 for i in range(2):
-                    assert x in preimage(fam, i, hash_value(fam, i, x), 10**4)
+                    assert x in preimage(fam, i, int(hash_many(fam, i, x)), 10**4)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(2)
@@ -241,7 +240,7 @@ class TestExactNamespace:
         for x in [M - 1, M - 2, *rng.integers(M // 2, M, size=10).tolist()]:
             for i in range(3):
                 a, b = fam.params[i]
-                s = hash_value(fam, i, x)
+                s = int(hash_many(fam, i, x))
                 assert s == (a * x + b) % fam.m
                 assert x in preimage(fam, i, s, M)
 
@@ -346,7 +345,6 @@ class TestScalarPath:
             if kind != FamilyKind.MD5 and np.ndim(xs):  # 0-d input is never long
                 assert np.ravel(got).tolist() == np.ravel(
                     self._array_path(monkeypatch, fam, 1, xs)).tolist()
-        assert hash_value(fam, 0, 777) == int(hash_many(fam, 0, [777])[0])
 
     @pytest.mark.parametrize("kind", [FamilyKind.SIMPLE_LINEAR, FamilyKind.MURMUR3])
     def test_wraps_like_int64_outside_the_namespace(self, monkeypatch, kind):

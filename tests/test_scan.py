@@ -7,7 +7,7 @@ import pytest
 from bloomsampletree import bloom, hashing
 from bloomsampletree.bloom import BloomFilter, build_filter
 from bloomsampletree.evalkit import calibrate_cost_ratio
-from bloomsampletree.hashing import FamilyKind, hash_value, make_family
+from bloomsampletree.hashing import FamilyKind, hash_many, make_family
 
 FAMILIES = list(FamilyKind)
 
@@ -17,7 +17,7 @@ def _reference(flt, ranges) -> list:
     k = flt.family.k
     return [x for lo, hi in ranges for x in range(lo, hi)
             if all((int(flt.words[h >> 6]) >> (h & 63)) & 1
-                   for h in (hash_value(flt.family, i, x) for i in range(k)))]
+                   for h in (int(hash_many(flt.family, i, x)) for i in range(k)))]
 
 
 @pytest.fixture
