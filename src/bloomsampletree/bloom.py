@@ -13,7 +13,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .hashing import HashFamily, _hash_ints, hash_many
+from .hashing import HashFamily, _hash_ints, _hash_ranges, hash_many
 
 __all__ = ["BloomFilter", "FamilyMismatchError", "as_elements", "check_element",
            "check_elements", "check_query_namespace"]
@@ -123,14 +123,14 @@ def filter_rows(family: HashFamily, arrays: list,
 
 
 def _chunks(ranges):
-    """The elements of the disjoint [lo, hi) ``ranges``, in order, cut into
-    chunks of ``SCAN_CHUNK`` (the last one shorter); each chunk is a list of
-    ``arange`` pieces, one per range that it meets."""
+    """The disjoint [lo, hi) ``ranges``, in order, cut into chunks of
+    ``SCAN_CHUNK`` elements (the last one shorter); each chunk is a list of
+    (lo, hi) pieces, one per range that it meets."""
     pieces, size = [], 0
     for lo, hi in ranges:
         while lo < hi:
             stop = min(hi, lo + SCAN_CHUNK - size)
-            pieces.append(np.arange(lo, stop, dtype=np.int64))
+            pieces.append((lo, stop))
             size += stop - lo
             lo = stop
             if size == SCAN_CHUNK:
@@ -142,13 +142,11 @@ def _chunks(ranges):
 
 def word_masks(family: HashFamily, x: int) -> dict:
     """Word index -> mask of the bits that element ``x`` sets, as Python
-    integers; one ``_hash_ints`` call per hash function, so no array is
-    built for the one element.  ``x`` may be a numpy integer, which
+    integers; one ``_hash_ints`` call for all k hash functions, so no array
+    is built for the one element.  ``x`` may be a numpy integer, which
     ``_hash_ints`` cannot take: it is read once as a Python int."""
-    x = operator.index(x)
     masks: dict = {}
-    for i in range(family.k):
-        (idx,) = _hash_ints(family, i, (x,))
+    for idx in _hash_ints(family, family.params, (operator.index(x),)):
         masks[idx >> 6] = masks.get(idx >> 6, 0) | 1 << (idx & 63)
     return masks
 
@@ -286,11 +284,10 @@ class BloomFilter:
             return None
         return np.unpackbits(self.words.view(np.uint8), bitorder="little").view(bool)
 
-    def _probe(self, i: int, xs: np.ndarray, bits: Optional[np.ndarray]) -> np.ndarray:
-        """Boolean array: bit h_i(x) set, per element; a byte gather from
+    def _lookup(self, idx: np.ndarray, bits: Optional[np.ndarray]) -> np.ndarray:
+        """Boolean array: bit ``idx`` set, per bit index; a byte gather from
         ``bits`` (the words unpacked by ``_bits_for``), else a word read and
         shift."""
-        idx = hash_many(self.family, i, xs)
         if bits is not None:
             return bits.take(idx)
         return ((self.words.take(idx >> 6) >> (idx.astype(np.uint64) & _LOW6))
@@ -308,21 +305,31 @@ class BloomFilter:
         bits = self._bits_for(xs.size)
         ok = np.ones(xs.shape, dtype=bool)
         for i in range(self.family.k):
-            ok &= self._probe(i, xs, bits)
+            ok &= self._lookup(hash_many(self.family, i, xs), bits)
         return ok
 
-    def _scan_chunk(self, xs: np.ndarray, bits: Optional[np.ndarray]) -> np.ndarray:
-        """The elements of ``xs`` that the filter contains, in order.
+    def _scan_chunk(self, pieces: list, bits: Optional[np.ndarray]) -> np.ndarray:
+        """The elements of the ascending [lo, hi) ``pieces`` that the filter
+        contains, in order.
 
-        Probes h_0 over all of ``xs``, then h_i only over the elements that
-        passed h_0 ... h_{i-1}, and stops once none are left: a query that
-        sets a share d of its bits hashes about 1 + d + ... + d^(k-1)
-        elements per element instead of k.
+        Probes h_0 over every element, hashed from the pieces' bounds by one
+        ``_hash_ranges`` call, then h_i only over the elements that passed
+        h_0 ... h_{i-1}, and stops once none are left: a query that sets a
+        share d of its bits hashes about 1 + d + ... + d^(k-1) elements per
+        element instead of k.
         """
-        for i in range(self.family.k):
+        xs = np.flatnonzero(self._lookup(_hash_ranges(self.family, 0, pieces), bits))
+        if len(pieces) == 1:
+            xs += pieces[0][0]
+        else:
+            # each survivor's position in the chunk, shifted to its piece's lo
+            los = np.array([lo for lo, _ in pieces], dtype=np.int64)
+            starts = np.cumsum([0] + [hi - lo for lo, hi in pieces[:-1]])
+            xs += (los - starts)[np.searchsorted(starts, xs, side="right") - 1]
+        for i in range(1, self.family.k):
             if not xs.size:
                 break
-            xs = xs[self._probe(i, xs, bits)]
+            xs = xs[self._lookup(hash_many(self.family, i, xs), bits)]
         return xs
 
     def scan(self, ranges, _bits=_UNDECIDED) -> np.ndarray:
@@ -354,8 +361,7 @@ class BloomFilter:
                 merged.append([lo, hi])
         if _bits is _UNDECIDED:
             _bits = self._bits_for(sum(hi - lo for lo, hi in merged))
-        parts = [self._scan_chunk(p[0] if len(p) == 1 else np.concatenate(p), bits=_bits)
-                 for p in _chunks(merged)]
+        parts = [self._scan_chunk(pieces, bits=_bits) for pieces in _chunks(merged)]
         return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
     def _check_compatible(self, other: "BloomFilter"):

@@ -163,9 +163,10 @@ def make_family(kind: FamilyKind, k: int, m: int, seed: int = 0) -> HashFamily:
     return HashFamily(kind, k, m, seeds)
 
 
-def _murmur_mix(x: np.ndarray, seed: int) -> np.ndarray:
-    """64-bit avalanche mix (murmur3 finalizer) of x xor seed."""
-    h = x.astype(np.uint64) ^ np.uint64(seed)
+def _murmur_mix(h: np.ndarray, seed: int) -> np.ndarray:
+    """64-bit avalanche mix (murmur3 finalizer) of the uint64 ``h`` xor seed,
+    in place."""
+    h ^= np.uint64(seed)
     h ^= h >> np.uint64(33)
     h *= np.uint64(_MIX1)
     h ^= h >> np.uint64(33)
@@ -179,28 +180,29 @@ def _md5_one(seed: int, x: int) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def _hash_ints(family: HashFamily, i: int, xs: list) -> list:
-    """``h_i`` of Python integers, equal to the array path for every int64 x.
+def _hash_ints(family: HashFamily, params, xs) -> list:
+    """``h(x)`` of Python integers for every function parameter of ``params``
+    (a slice of ``family.params``) and every x of ``xs``, parameter-major;
+    equal to the array path for every int64 x.
 
     The linear family wraps ``a*x + b`` to int64 as numpy does, which only
     happens for x outside ``[0, namespace_limit)``.
     """
     m = family.m
     if family.kind == FamilyKind.SIMPLE_LINEAR:
-        a, b = family.params[i]
-        b += 1 << 63
-        return [(((a * x + b) & _MASK64) - (1 << 63)) % m for x in xs]
-    seed = family.params[i]
+        return [(((a * x + b + (1 << 63)) & _MASK64) - (1 << 63)) % m
+                for a, b in params for x in xs]
     if family.kind == FamilyKind.MD5:
-        return [_md5_one(seed, x) % m for x in xs]
+        return [_md5_one(seed, x) % m for seed in params for x in xs]
     out = []
-    for x in xs:
-        h = (x & _MASK64) ^ seed
-        h ^= h >> 33
-        h = h * _MIX1 & _MASK64
-        h ^= h >> 33
-        h = h * _MIX2 & _MASK64
-        out.append((h ^ h >> 33) % m)
+    for seed in params:
+        for x in xs:
+            h = (x & _MASK64) ^ seed
+            h ^= h >> 33
+            h = h * _MIX1 & _MASK64
+            h ^= h >> 33
+            h = h * _MIX2 & _MASK64
+            out.append((h ^ h >> 33) % m)
     return out
 
 
@@ -228,7 +230,8 @@ def hash_many(family: HashFamily, i: int, xs: np.ndarray) -> np.ndarray:
         raise IndexError(f"hash function index {i} out of range [0, {family.k})")
     xs = np.asarray(xs, dtype=np.int64)
     if xs.size < _SCALAR_MAX_SIZE or family.kind == FamilyKind.MD5:
-        out = np.array(_hash_ints(family, i, xs.ravel().tolist()), dtype=np.int64)
+        out = np.array(_hash_ints(family, family.params[i:i + 1], xs.ravel().tolist()),
+                       dtype=np.int64)
         return out if xs.ndim == 1 else out.reshape(xs.shape)
     small = xs.size < _REDUCE_MIN_SIZE
     if family.kind == FamilyKind.SIMPLE_LINEAR:
@@ -239,9 +242,36 @@ def hash_many(family: HashFamily, i: int, xs: np.ndarray) -> np.ndarray:
         h = a * xs
         h += b
         return _reduce(h, family.m)
-    h = _murmur_mix(xs, family.params[i])
+    h = _murmur_mix(xs.astype(np.uint64), family.params[i])
     if small:
         return (h % np.uint64(family.m)).astype(np.int64)
+    return _reduce(h, np.uint64(family.m)).view(np.int64)
+
+
+def _hash_ranges(family: HashFamily, i: int, pieces) -> np.ndarray:
+    """``hash_many(family, i, xs)`` for xs the elements of the ascending
+    [lo, hi) ``pieces`` in order, with 0 <= lo < hi <= ``namespace_limit``,
+    without building xs.
+
+    The linear family evaluates ``a*x + b`` over a piece as one stepped
+    uint64 ``arange`` from ``a*lo + b``: the namespace limit keeps every
+    value in [0, 2^63), and the stop ``a*hi + b`` below 2^64.  murmur3 mixes
+    one uint64 ``arange`` per piece in place.  Both then reduce by the
+    unsigned multiply-shift ``_reduce``.  The md5 family, and calls below
+    ``_REDUCE_MIN_SIZE`` elements, go through ``hash_many``.
+    """
+    if (family.kind == FamilyKind.MD5
+            or sum(hi - lo for lo, hi in pieces) < _REDUCE_MIN_SIZE):
+        return hash_many(family, i, np.concatenate(
+            [np.arange(lo, hi, dtype=np.int64) for lo, hi in pieces]))
+    if family.kind == FamilyKind.SIMPLE_LINEAR:
+        a, b = family.params[i]
+        parts = [np.arange(a * lo + b, a * hi + b, a, dtype=np.uint64) for lo, hi in pieces]
+    else:
+        parts = [np.arange(lo, hi, dtype=np.uint64) for lo, hi in pieces]
+    h = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    if family.kind == FamilyKind.MURMUR3:
+        _murmur_mix(h, family.params[i])
     return _reduce(h, np.uint64(family.m)).view(np.int64)
 
 

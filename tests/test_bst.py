@@ -466,15 +466,15 @@ class TestInsertHashesOnce:
         calls = []
         real = bloom._hash_ints
 
-        def counting(family, i, xs):
-            calls.append(i)
-            return real(family, i, xs)
+        def counting(family, params, xs):
+            calls.append(len(params) * len(xs))  # hashed (parameter, element) pairs
+            return real(family, params, xs)
 
         monkeypatch.setattr(bloom, "_hash_ints", counting)
         for x in (5, 701, 999):
             calls.clear()
             tree.insert(x)
-            assert sorted(calls) == list(range(fam.k))
+            assert sum(calls) == fam.k
 
     def test_insert_and_contains_build_no_hash_array(self, monkeypatch):
         tree, plan, _ = small_tree(M=1000, m=2000, leaf_ratio=8.0, occupied=[3, 700])
@@ -793,9 +793,9 @@ class TestLevelWalkReconstruct:
         calls = []
         scan_chunk = BloomFilter._scan_chunk
 
-        def counted(self, xs, **kw):
-            calls.append(len(xs))
-            return scan_chunk(self, xs, **kw)
+        def counted(self, pieces, **kw):
+            calls.append(sum(hi - lo for lo, hi in pieces))
+            return scan_chunk(self, pieces, **kw)
 
         monkeypatch.setattr(BloomFilter, "_scan_chunk", counted)
         found, counters = tree.reconstruct(query, 0.0)
@@ -803,6 +803,23 @@ class TestLevelWalkReconstruct:
         assert len(calls) == -(-M // bloom.SCAN_CHUNK) == 4
         assert sum(calls) == counters.membership_queries == M
         assert np.array_equal(found, baselines.da_reconstruct(M, query)[0])
+
+    def test_popcounts_past_a_uint16_sum_are_exact(self, monkeypatch):
+        # all-ones rows at m = 70,000: each AND sets 70,000 bits, more than
+        # a uint16 accumulator holds
+        M, m = 4000, 70_000
+        fam = make_family(FamilyKind.MURMUR3, 3, m, seed=2)
+        tree = BloomSampleTree.build_full(plan_with_m(m, M, 3, 240.0), fam)
+        ones = np.full((m + 63) // 64, ~np.uint64(0))
+        ones[-1] &= ~bloom.tail_mask(m)
+        for key in tree.nodes:
+            tree.nodes[key] = BloomFilter(fam, M, words=ones.copy())
+        seen = []
+        estimate = bst.intersection_estimate_counts
+        monkeypatch.setattr(bst, "intersection_estimate_counts",
+                            lambda *args: seen.append(args) or estimate(*args))
+        tree.reconstruct(BloomFilter(fam, M, words=ones.copy()), 0.5)
+        assert seen and all(args[2:] == (m, m, m) for args in seen)
 
     def test_small_stack_bound_keeps_the_result(self, monkeypatch):
         trees = list(_reference_trees())

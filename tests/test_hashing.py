@@ -370,3 +370,55 @@ class TestKFitsTheDescriptor:
         fam = make_family(kind, 2**16 - 1, 1009, seed=3)
         back, offset = HashFamily.from_bytes(fam.to_bytes())
         assert back == fam and offset == len(fam.to_bytes())
+
+
+class TestHashRanges:
+    """``_hash_ranges`` hashes the elements of [lo, hi) pieces from their
+    bounds; it must equal ``hash_many`` over the concatenated ``arange``s."""
+
+    @staticmethod
+    def _check(fam, pieces):
+        xs = np.concatenate([np.arange(lo, hi, dtype=np.int64) for lo, hi in pieces])
+        for i in range(fam.k):
+            got = hashing._hash_ranges(fam, i, pieces)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, hash_many(fam, i, xs)), (i, pieces[:3])
+
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    @pytest.mark.parametrize("n", [1, hashing._REDUCE_MIN_SIZE - 1, hashing._REDUCE_MIN_SIZE,
+                                   3000])
+    def test_from_zero(self, kind, n):
+        self._check(make_family(kind, 3, 60_870, seed=31), [(0, n)])
+
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    def test_up_to_the_namespace_limit(self, kind):
+        # for the linear family, a*x + b of the last element is the largest
+        # below 2^63 that the family hashes
+        fam = make_family(kind, 3, (1 << 31) - 1, seed=37)
+        top = fam.namespace_limit
+        if kind == FamilyKind.SIMPLE_LINEAR:
+            assert max(a * (top - 1) + b for a, b in fam.params) > (1 << 63) - (1 << 31)
+        self._check(fam, [(top - 2000, top)])
+        self._check(fam, [(0, 700), (top // 2, top // 2 + 3), (top - 1, top)])
+
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    @pytest.mark.parametrize("count", [5, hashing._REDUCE_MIN_SIZE + 100])
+    def test_single_element_pieces(self, kind, count):
+        fam = make_family(kind, 3, 4001, seed=41)
+        starts = np.sort(np.random.default_rng(count).choice(10**7, count, replace=False))
+        self._check(fam, [(x, x + 1) for x in starts.tolist()])
+
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    def test_chunks_that_straddle_the_scan_chunk(self, monkeypatch, kind):
+        from bloomsampletree import bloom
+        chunk = 2 * hashing._REDUCE_MIN_SIZE
+        monkeypatch.setattr(bloom, "SCAN_CHUNK", chunk)
+        fam = make_family(kind, 3, 60_870, seed=43)
+        ranges = [(3, 40), (chunk - 300, chunk + 300), (2 * chunk + 1, 2 * chunk + 2),
+                  (3 * chunk - 7, 5 * chunk + 11), (10**9, 10**9 + 500)]
+        chunks = list(bloom._chunks(ranges))
+        assert any(len(pieces) > 1 for pieces in chunks)
+        assert sum(hi - lo for pieces in chunks for lo, hi in pieces) == sum(
+            hi - lo for lo, hi in ranges)
+        for pieces in chunks:
+            self._check(fam, pieces)

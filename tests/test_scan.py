@@ -22,12 +22,17 @@ def _reference(flt, ranges) -> list:
 
 @pytest.fixture
 def hashed(monkeypatch):
-    """Sizes of the ``hash_many`` calls made by ``bloom``."""
+    """Sizes of the ``hash_many`` and ``_hash_ranges`` calls made by ``bloom``;
+    a ``_hash_ranges`` call hashes the elements of its [lo, hi) pieces."""
     sizes = []
-    hash_many = bloom.hash_many
+    hash_many, hash_ranges = bloom.hash_many, bloom._hash_ranges
     monkeypatch.setattr(bloom, "hash_many",
                         lambda family, i, xs: sizes.append(np.size(xs))
                         or hash_many(family, i, xs))
+    monkeypatch.setattr(bloom, "_hash_ranges",
+                        lambda family, i, pieces: sizes.append(
+                            sum(hi - lo for lo, hi in pieces))
+                        or hash_ranges(family, i, pieces))
     return sizes
 
 
@@ -115,3 +120,21 @@ def test_calibration_times_leaf_scans(monkeypatch):
         widths.clear()
         assert calibrate_cost_ratio(m, 3, trials=5, rng=np.random.default_rng(1)) > 0
         assert widths == [4096] * 5
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+def test_ragged_leaf_list_matches_reference(monkeypatch, kind):
+    # the surviving leaves of a threshold-0.5 walk: gapped, abutting in places,
+    # the last one clipped at M; small chunks put several in each
+    monkeypatch.setattr(bloom, "SCAN_CHUNK", 1500)
+    M, width = 30_000, 241
+    fam = make_family(kind, 3, 4001, seed=11)
+    rng = np.random.default_rng(int(kind))
+    flt = build_filter(fam, M, rng.choice(M, 300, replace=False))
+    leaves = sorted({*rng.choice(-(-M // width), 30, replace=False).tolist(),
+                     7, 8, M // width})
+    ranges = [(j * width, min((j + 1) * width, M)) for j in leaves]
+    assert ranges[-1][1] - ranges[-1][0] < width
+    got = flt.scan(ranges)
+    assert got.tolist() == _reference(flt, ranges)
+    assert got.size > 0
