@@ -140,6 +140,32 @@ def _chunks(ranges):
         yield pieces
 
 
+def insert_masks(filters, masks: dict) -> None:
+    """Insert one element, given as its ``word_masks``, into each filter of
+    ``filters``: OR each mask into its word with Python integers, reading
+    each word with ``item``.  A tree insert passes its whole path, so it
+    makes one call, not one per node.
+
+    A read-only view (a node of a loaded tree) is copied on its first
+    write, which raises before it changes anything.  The try costs nothing
+    until it raises, where reading ``words.flags`` on every call cost about
+    4% of a tree insert.
+    """
+    masks = masks.items()
+    for flt in filters:
+        words = flt.words
+        try:
+            for w, mask in masks:
+                words[w] = words.item(w) | mask
+        except ValueError:
+            if words.flags.writeable:
+                raise
+            words = flt._own_words()
+            for w, mask in masks:
+                words[w] = words.item(w) | mask
+        flt._popcount = None
+
+
 def word_masks(family: HashFamily, x: int) -> dict:
     """Word index -> mask of the bits that element ``x`` sets, as Python
     integers; one ``_hash_ints`` call for all k hash functions, so no array
@@ -217,7 +243,7 @@ class BloomFilter:
     def insert(self, x: int) -> None:
         """Set the k bits of element ``x``."""
         x = check_element(x, self.namespace_size)
-        self.insert_masks(word_masks(self.family, x))
+        insert_masks((self,), word_masks(self.family, x))
 
     def _own_words(self) -> np.ndarray:
         """The words, first copied if they are a read-only view (the nodes of
@@ -226,25 +252,6 @@ class BloomFilter:
         if not self.words.flags.writeable:
             self.words = self.words.copy()
         return self.words
-
-    def insert_masks(self, masks: dict) -> None:
-        """Insert one element given its ``word_masks``: OR each mask into its
-        word with Python integers, reading each word with ``item``.
-
-        A read-only view is copied on the first write, which raises before
-        it changes anything.  The try costs nothing until it raises, where
-        reading ``words.flags`` on every call cost about 4% of a tree insert.
-        """
-        words = self.words
-        for w, mask in masks.items():
-            try:
-                words[w] = words.item(w) | mask
-            except ValueError:
-                if words.flags.writeable:
-                    raise
-                words = self._own_words()
-                words[w] = words.item(w) | mask
-        self._popcount = None
 
     def insert_many(self, xs: Iterable[int]) -> None:
         """Bulk insert; equivalent to inserting each element in turn.

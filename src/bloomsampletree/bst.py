@@ -23,7 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .bloom import (BloomFilter, FamilyMismatchError, check_element, check_elements,
-                    check_query_namespace, filter_rows, tail_mask, word_masks)
+                    check_query_namespace, filter_rows, insert_masks, tail_mask,
+                    word_masks)
 from .estimate import fp_probability, intersection_estimate_counts
 from .hashing import HashFamily
 
@@ -388,32 +389,20 @@ class BloomSampleTree:
         """Add one occupied element, creating missing path nodes.
 
         Hashes x once into its k word masks, then ORs those (at most k
-        words) into the leaf and each of its depth ancestors, inline with
-        Python integers as ``BloomFilter.insert_masks`` does, read-only rows
-        copied on their first write included.  ``x`` passes through
-        ``check_element``, so 2.0 is 2 and 2.5 raises ValueError.
+        words) into the leaf and each of its depth ancestors, with one
+        ``insert_masks`` call over the whole path.  ``x`` passes
+        through ``check_element``, so 2.0 is 2 and 2.5 raises ValueError.
         """
         x = check_element(x, self.plan.namespace_size)
-        masks = list(word_masks(self.family, x).items())
-        nodes, depth, leaf = self.nodes, self.plan.depth, x // self.plan.leaf_size
+        depth, leaf = self.plan.depth, x // self.plan.leaf_size
+        path = []
         for level in range(depth + 1):
             key = (level, leaf >> (depth - level))
-            node = nodes.get(key)
+            node = self.nodes.get(key)
             if node is None:
-                node = nodes[key] = BloomFilter(self.family, self.plan.namespace_size)
-            words = node.words
-            try:
-                for w, mask in masks:
-                    words[w] = words.item(w) | mask
-            except ValueError:
-                # a loaded node's row is read-only: the first write raised
-                # before anything changed, so copy it and write every mask
-                if words.flags.writeable:
-                    raise
-                words = node.words = words.copy()
-                for w, mask in masks:
-                    words[w] = words.item(w) | mask
-            node._popcount = None
+                node = self.nodes[key] = BloomFilter(self.family, self.plan.namespace_size)
+            path.append(node)
+        insert_masks(path, word_masks(self.family, x))
 
     # geometry ----------------------------------------------------------
 

@@ -245,7 +245,7 @@ class TestLevelRowsDoNotAlias:
         before = {key: node.words.copy() for key, node in tree.nodes.items()}
         target = max(tree.nodes)  # the last row of the leaf matrix
         ones = (1 << 64) - 1
-        tree.nodes[target].insert_masks({w: ones for w in range(len(before[target]))})
+        bloom.insert_masks((tree.nodes[target],), {w: ones for w in range(len(before[target]))})
         for key, node in tree.nodes.items():
             if key != target:
                 assert np.array_equal(node.words, before[key]), key
@@ -258,9 +258,9 @@ class TestLevelRowsDoNotAlias:
         node, ones = tree.nodes[key], (1 << 64) - 1
         saved = node.words.copy()
         copy = BloomFilter(node.family, node.namespace_size, saved.copy())
-        copy.insert_masks({0: ones})
+        bloom.insert_masks((copy,), {0: ones})
         assert np.array_equal(node.words, saved)
-        node.insert_masks({w: ones for w in range(1, len(saved))})
+        bloom.insert_masks((node,), {w: ones for w in range(1, len(saved))})
         first = key[1] * (tree.plan.padded_size >> key[0])  # the node's first element
         tree.insert(first)
         assert int(copy.words[0]) == ones
