@@ -25,14 +25,10 @@ _VERSION = 1
 # "no count", so files pass both ways.
 _RESERVED = (1 << 64) - 1
 
-_ONE = np.uint64(1)
-_LOW6 = np.uint64(63)
 # Elements per membership call in ``scan``; one call over 10^6 elements
 # measured slower than chunks of this size.
 SCAN_CHUNK = 1 << 16
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
-# Default of ``scan``'s ``_bits``: the scan decides ``_bits_for`` itself.
-_UNDECIDED = object()
 
 
 def _exact_int(v) -> int:
@@ -163,7 +159,7 @@ def insert_masks(filters, masks: dict) -> None:
             words = flt._own_words()
             for w, mask in masks:
                 words[w] = words.item(w) | mask
-        flt._popcount = None
+        flt._popcount = flt._bits = None
 
 
 def word_masks(family: HashFamily, x: int) -> dict:
@@ -198,9 +194,15 @@ def check_query_namespace(query: "BloomFilter", namespace_size: int) -> None:
 
 
 class BloomFilter:
-    """m-bit filter bound to a hash family and a namespace bound."""
+    """m-bit filter bound to a hash family and a namespace bound.
 
-    __slots__ = ("family", "namespace_size", "words", "_popcount")
+    ``words`` is any integer array of the right length, strided or
+    read-only, that sets no bit at or past m.  Every membership probe is a
+    byte gather from the bits unpacked once (``_unpacked``) and kept, like
+    the popcount, until the next write: m extra bytes per probed filter.
+    """
+
+    __slots__ = ("family", "namespace_size", "words", "_popcount", "_bits")
 
     def __init__(self, family: HashFamily, namespace_size: int,
                  words: Optional[np.ndarray] = None):
@@ -213,8 +215,13 @@ class BloomFilter:
         else:
             if len(words) != n_words:
                 raise ValueError("word array length does not match m")
-            self.words = np.asarray(words, dtype=np.uint64)
-        self._popcount = None
+            words = np.asarray(words)
+            if words.dtype.kind not in "iu":
+                raise ValueError(f"filter words must be integers, not {words.dtype}")
+            self.words = words.astype(np.uint64, copy=False)
+            if self.words[-1] & tail_mask(family.m):
+                raise ValueError(f"filter words set a bit at or past m = {family.m}")
+        self._popcount = self._bits = None
 
     @classmethod
     def _row_views(cls, family: HashFamily, namespace_size: int,
@@ -232,7 +239,7 @@ class BloomFilter:
             flt.family = family
             flt.namespace_size = namespace_size
             flt.words = row
-            flt._popcount = None
+            flt._popcount = flt._bits = None
             flts.append(flt)
         return flts
 
@@ -264,7 +271,7 @@ class BloomFilter:
             return
         words = self._own_words()
         words |= filter_rows(self.family, [xs])[0]
-        self._popcount = None
+        self._popcount = self._bits = None
 
     def contains(self, x: int) -> bool:
         """Whether all k bits of element ``x`` are set."""
@@ -273,59 +280,37 @@ class BloomFilter:
         return all(words.item(w) & mask == mask
                    for w, mask in word_masks(self.family, x).items())
 
-    def _bits_for(self, n: int) -> Optional[np.ndarray]:
-        """The bits unpacked to one bool each when probing ``n`` elements
-        pays for the O(m) unpack, else None.
-
-        The unpack costs 0.15-0.33 ns per bit and a byte gather saves
-        1.5-3 ns per probe over reading the word and shifting in calls of
-        2^16 elements, 4-6 ns in calls of 2,000 (m from 60,870 to 10^8), so
-        it pays from about one probe per 10-30 bits; it is done from
-        ``16 * n * k >= m``.  A ``scan`` makes fewer than n·k probes, since
-        it hashes h_i only for the survivors of h_0 ... h_{i-1}, but keeps
-        the rule: at m = 60,870 a 1,954-element leaf scan took 58 us
-        unpacked and 70 us with word reads, and counting n probes instead
-        would read words there.
-        """
-        if 16 * n * self.family.k < self.m:
-            return None
-        return np.unpackbits(self.words.view(np.uint8), bitorder="little").view(bool)
-
-    def _lookup(self, idx: np.ndarray, bits: Optional[np.ndarray]) -> np.ndarray:
-        """Boolean array: bit ``idx`` set, per bit index; a byte gather from
-        ``bits`` (the words unpacked by ``_bits_for``), else a word read and
-        shift."""
-        if bits is not None:
-            return bits.take(idx)
-        return ((self.words.take(idx >> 6) >> (idx.astype(np.uint64) & _LOW6))
-                & _ONE).astype(bool)
+    def _unpacked(self) -> np.ndarray:
+        """The bits, one bool each (64 per word, padding included), unpacked
+        on the first call after a write and kept until the next one."""
+        if self._bits is None:
+            words = np.ascontiguousarray(self.words, dtype=np.uint64)
+            self._bits = np.unpackbits(words.view(np.uint8), bitorder="little").view(bool)
+        return self._bits
 
     def contains_many(self, xs: np.ndarray) -> np.ndarray:
         """Boolean array: all k probed bits set, per element of
-        ``check_elements(xs, namespace_size)``.
-
-        Hashes every element k times.  The bits are unpacked only when the
-        call has enough probes; nothing is cached, since ``words`` may be
-        edited.
-        """
+        ``check_elements(xs, namespace_size)``; hashes every element k
+        times."""
         xs = check_elements(xs, self.namespace_size)
-        bits = self._bits_for(xs.size)
+        bits = self._unpacked()
         ok = np.ones(xs.shape, dtype=bool)
         for i in range(self.family.k):
-            ok &= self._lookup(hash_many(self.family, i, xs), bits)
+            ok &= bits.take(hash_many(self.family, i, xs))
         return ok
 
-    def _scan_chunk(self, pieces: list, bits: Optional[np.ndarray]) -> np.ndarray:
+    def _scan_chunk(self, pieces: list) -> np.ndarray:
         """The elements of the ascending [lo, hi) ``pieces`` that the filter
         contains, in order.
 
-        Probes h_0 over every element, hashed from the pieces' bounds by one
-        ``_hash_ranges`` call, then h_i only over the elements that passed
-        h_0 ... h_{i-1}, and stops once none are left: a query that sets a
-        share d of its bits hashes about 1 + d + ... + d^(k-1) elements per
-        element instead of k.
+        Gathers the h_0 bit of every element, hashed from the pieces' bounds
+        by one ``_hash_ranges`` call, then h_i only for the elements that
+        passed h_0 ... h_{i-1}, and stops once none are left: a query that
+        sets a share d of its bits hashes about 1 + d + ... + d^(k-1)
+        elements per element instead of k.
         """
-        xs = np.flatnonzero(self._lookup(_hash_ranges(self.family, 0, pieces), bits))
+        bits = self._unpacked()
+        xs = np.flatnonzero(bits.take(_hash_ranges(self.family, 0, pieces)))
         if len(pieces) == 1:
             xs += pieces[0][0]
         else:
@@ -336,10 +321,10 @@ class BloomFilter:
         for i in range(1, self.family.k):
             if not xs.size:
                 break
-            xs = xs[self._lookup(hash_many(self.family, i, xs), bits)]
+            xs = xs[bits.take(hash_many(self.family, i, xs))]
         return xs
 
-    def scan(self, ranges, _bits=_UNDECIDED) -> np.ndarray:
+    def scan(self, ranges) -> np.ndarray:
         """Ascending elements of the ascending, disjoint [lo, hi) ``ranges``
         that the filter contains.
 
@@ -347,10 +332,9 @@ class BloomFilter:
         [0, namespace_size), or starting before the one before it ends,
         raises ValueError.  Abutting ranges are merged, and the elements of
         all ranges are probed in chunks of ``SCAN_CHUNK``, one
-        ``_scan_chunk`` call per chunk, so short ranges share a call.  The
-        bits are unpacked at most once per scan; ``_bits`` is for a caller
-        that scans many ranges one call at a time and decided ``_bits_for``
-        once for all of them.
+        ``_scan_chunk`` call per chunk, so short ranges share a call.
+        Every chunk, and every later probe until a write, gathers from the
+        one ``_unpacked`` copy of the bits.
         """
         merged: list = []
         for lo, hi in ranges:
@@ -366,9 +350,7 @@ class BloomFilter:
                 merged[-1][1] = hi
             else:
                 merged.append([lo, hi])
-        if _bits is _UNDECIDED:
-            _bits = self._bits_for(sum(hi - lo for lo, hi in merged))
-        parts = [self._scan_chunk(pieces, bits=_bits) for pieces in _chunks(merged)]
+        parts = [self._scan_chunk(pieces) for pieces in _chunks(merged)]
         return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
     def _check_compatible(self, other: "BloomFilter"):
@@ -392,12 +374,10 @@ class BloomFilter:
 
     def set_bit_indices(self) -> np.ndarray:
         """Positions of set bits, ascending."""
-        bits = np.unpackbits(self.words.view(np.uint8), bitorder="little")[: self.m]
-        return np.nonzero(bits)[0].astype(np.int64)
+        return np.flatnonzero(self._unpacked()[: self.m]).astype(np.int64, copy=False)
 
     def unset_bit_indices(self) -> np.ndarray:
-        bits = np.unpackbits(self.words.view(np.uint8), bitorder="little")[: self.m]
-        return np.nonzero(~bits.astype(bool))[0].astype(np.int64)
+        return np.flatnonzero(~self._unpacked()[: self.m]).astype(np.int64, copy=False)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BloomFilter):
@@ -443,8 +423,6 @@ class BloomFilter:
             raise ValueError("truncated Bloom filter block")
         words = np.frombuffer(data, dtype="<u8", count=n_words, offset=offset).copy()
         offset += n_words * 8
-        if words[-1] & tail_mask(m):
-            raise ValueError(f"filter block sets a bit at or past m = {m}")
         return cls(family, namespace_size, words=words), offset
 
     def save(self, path) -> None:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from functools import cache, partial
 from itertools import islice, repeat
 from typing import Optional
 
@@ -510,8 +509,6 @@ class BloomSampleTree:
         hits_of: dict = {}  # leaf j -> membership-positive elements of its range not yet drawn
         ests: dict = {}     # (level, j) -> its children's estimates, None if pruned
         drained: set = set()  # leaves whose positives were all drawn
-        # the query's bits for every leaf scan, unpacked at most once per call
-        leaf_bits = cache(partial(query._bits_for, width))
 
         def estimate(key) -> Optional[float]:
             """The child's estimate, None if pruned; one intersection if present."""
@@ -537,7 +534,7 @@ class BloomSampleTree:
                     hits = hits_of.get(j)
                     if hits is None:
                         lo, hi = j * width, min((j + 1) * width, M)
-                        hits = hits_of[j] = query.scan([(lo, hi)], _bits=leaf_bits())
+                        hits = hits_of[j] = query.scan([(lo, hi)])
                         counters.membership_queries += max(0, hi - lo)
                         counters.leaves_scanned += 1
                     blocked = blocked or j in drained

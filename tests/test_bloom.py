@@ -7,6 +7,7 @@ import pytest
 
 from bloomsampletree import bloom, hashing
 from bloomsampletree.bloom import BloomFilter, FamilyMismatchError, build_filter
+from bloomsampletree.bst import BloomSampleTree, plan_with_m
 from bloomsampletree.estimate import fp_probability
 from bloomsampletree.hashing import FamilyKind, HashFamily, make_family, hash_many
 
@@ -296,40 +297,113 @@ class TestByteGatherMembership:
         rng = np.random.default_rng(2)
         flt = build_filter(fam, 10**6, rng.choice(10**6, 150, replace=False))
         xs = np.concatenate([rng.choice(10**6, 400, replace=False), [0, 10**6 - 1]])
-        got = flt.contains_many(xs)  # enough probes to gather bytes
+        got = flt.contains_many(xs)
         assert got.tolist() == [_bitwise_contains(flt, int(x)) for x in xs]
         assert 0 < got.sum() < xs.size
         one_by_one = [bool(flt.contains_many(xs[i:i + 1])[0]) for i in range(xs.size)]
-        assert one_by_one == got.tolist()  # too few probes: word reads
-        full = BloomFilter(fam, 10**6, words=np.full(len(flt.words), ~np.uint64(0)))
+        assert one_by_one == got.tolist()
+        ones = np.full(len(flt.words), ~np.uint64(0))
+        ones[-1] &= ~bloom.tail_mask(fam.m)
+        full = BloomFilter(fam, 10**6, words=ones)
         assert full.contains_many(xs).all()
         assert all(full.contains(int(x)) for x in xs[:20])
         assert full.contains_many(np.empty(0, dtype=np.int64)).shape == (0,)
 
-    def test_unpacks_only_when_the_probes_pay(self, monkeypatch):
+@pytest.fixture
+def unpacks(monkeypatch):
+    """One entry per ``np.unpackbits`` call."""
+    calls = []
+    unpackbits = np.unpackbits
+    monkeypatch.setattr(np, "unpackbits",
+                        lambda *a, **kw: calls.append(1) or unpackbits(*a, **kw))
+    return calls
+
+
+class TestUnpackedBits:
+    """The bits are unpacked on the first probe and kept until a write."""
+
+    def test_probes_share_one_unpack(self, unpacks):
         fam = make_family(FamilyKind.SIMPLE_LINEAR, 3, 1_000_003, seed=1)
-        M = 10**7
-        flt = build_filter(fam, M, range(0, M, 997))
-        unpacks = []
-        unpackbits = np.unpackbits
-        monkeypatch.setattr(np, "unpackbits",
-                            lambda *a, **kw: unpacks.append(1) or unpackbits(*a, **kw))
+        flt = build_filter(fam, 10**7, range(0, 10**7, 997))
         assert flt.contains(997) and not flt.contains(998)
-        small = flt.contains_many(np.arange(0, 10_000, dtype=np.int64))
-        assert not unpacks  # 3 * 10^4 probes do not pay for unpacking 10^6 bits
-        words_path = [xs[flt.contains_many(xs)]
-                      for xs in np.array_split(np.arange(10**6, dtype=np.int64), 400)]
-        assert not unpacks
-        found = flt.scan([(0, 10**6)])
-        assert len(unpacks) == 1  # 16 chunks share one unpack
-        assert np.array_equal(found, np.concatenate(words_path))
-        assert np.array_equal(found[found < 10_000], np.flatnonzero(small))
+        assert not unpacks  # a single-element probe reads words
+        per_call = [xs[flt.contains_many(xs)]
+                    for xs in np.array_split(np.arange(10**6, dtype=np.int64), 400)]
+        found = flt.scan([(0, 10**6)])  # 16 chunks
+        bits = flt.set_bit_indices()
+        assert len(unpacks) == 1
+        assert np.array_equal(found, np.concatenate(per_call))
         assert set(range(0, 10**6, 997)) <= set(found.tolist())
+        assert bits.size == flt.popcount()
+        assert np.array_equal(np.union1d(bits, flt.unset_bit_indices()), np.arange(fam.m))
+
+    WRITES = {
+        "insert": lambda flt, x: flt.insert(x),
+        "insert_many": lambda flt, x: flt.insert_many([x]),
+        "insert_masks": lambda flt, x: bloom.insert_masks([flt], bloom.word_masks(flt.family, x)),
+    }
+
+    @pytest.mark.parametrize("write", list(WRITES))
+    def test_each_write_clears_the_cache(self, unpacks, write):
+        M, fam = 4096, make_family(FamilyKind.MURMUR3, 3, 1009, seed=3)
+        if write == "insert_masks":  # on a read-only row, which the write copies
+            tree = BloomSampleTree.build_full(plan_with_m(fam.m, M, 3, 240.0), fam)
+            flt = BloomSampleTree.from_bytes(tree.to_bytes()).nodes[(tree.plan.depth, 0)]
+            assert not flt.words.flags.writeable
+        else:
+            flt = build_filter(fam, M, range(0, M, 41))
+        xs = np.arange(M, dtype=np.int64)
+        absent = xs[~flt.contains_many(xs)]
+        assert absent.size >= 3 and len(unpacks) == 1
+        for n, x in enumerate(absent[:3].tolist(), start=1):
+            self.WRITES[write](flt, x)
+            assert flt.contains_many([x])[0]
+            assert x in flt.scan([(x, x + 1)])
+            assert len(unpacks) == 1 + n  # one unpack per write, shared by both probes
+
+
+class TestConstructorWords:
+    def test_strided_words_probe_as_their_contiguous_twin(self):
+        fam = make_family(FamilyKind.MURMUR3, 3, 6400, seed=5)
+        M = 10**5
+        twin = build_filter(fam, M, np.random.default_rng(3).choice(M, 500, replace=False))
+        big = np.zeros(2 * twin.words.size, dtype=np.uint64)
+        big[::2] = twin.words
+        flt = BloomFilter(fam, M, words=big[::2])
+        assert not flt.words.flags.c_contiguous
+        xs = np.arange(M, dtype=np.int64)
+        assert np.array_equal(flt.scan([(0, M)]), twin.scan([(0, M)]))
+        assert np.array_equal(flt.contains_many(xs), twin.contains_many(xs))
+        assert np.array_equal(flt.set_bit_indices(), twin.set_bit_indices())
+
+    def test_rejects_non_integer_words(self):
+        fam = make_family(FamilyKind.MURMUR3, 3, 128, seed=0)
+        with pytest.raises(ValueError, match="must be integers, not float64"):
+            BloomFilter(fam, 1000, words=np.array([1.7, 2.2]))
+
+    @pytest.mark.parametrize("m", [100, 1009])
+    def test_rejects_a_bit_at_or_past_m(self, m):
+        fam = make_family(FamilyKind.MURMUR3, 3, m, seed=0)
+        ones = np.full((m + 63) // 64, ~np.uint64(0))
+        with pytest.raises(ValueError, match=f"set a bit at or past m = {m}"):
+            BloomFilter(fam, 1000, words=ones)
+        ones[-1] &= ~bloom.tail_mask(m)
+        assert BloomFilter(fam, 1000, words=ones).popcount() == m
+
+    def test_all_ones_round_trips_through_a_file(self, tmp_path):
+        fam = make_family(FamilyKind.MURMUR3, 3, 100, seed=0)
+        ones = np.full(2, ~np.uint64(0))
+        ones[-1] &= ~bloom.tail_mask(100)
+        flt = BloomFilter(fam, 1000, words=ones)
+        flt.save(tmp_path / "f.bf")
+        loaded = BloomFilter.load(tmp_path / "f.bf")
+        assert loaded == flt and loaded.popcount() == 100
+        assert np.array_equal(loaded.set_bit_indices(), np.arange(100))
 
 
 class TestScanAboveReduceSize:
     @pytest.mark.parametrize("kind", list(FamilyKind))
-    @pytest.mark.parametrize("m", [1009, 400_009])  # byte gather, word reads
+    @pytest.mark.parametrize("m", [1009, 400_009])
     def test_multi_chunk_scan_matches_per_bit_reference(self, monkeypatch, kind, m):
         # chunks of at least _REDUCE_MIN_SIZE elements hash by multiply-shift
         chunk = 2 * hashing._REDUCE_MIN_SIZE
@@ -340,7 +414,6 @@ class TestScanAboveReduceSize:
         flt = build_filter(fam, M, np.concatenate([np.arange(0, 3 * chunk, 7),
                                                    rng.integers(0, M, 200)]))
         ranges = [(0, 3 * chunk + 5), (M - chunk - 3, M)]
-        assert (flt._bits_for(4 * chunk + 8) is None) == (m > 10**5)
         got = flt.scan(ranges)
         want = [x for lo, hi in ranges for x in range(lo, hi) if _bitwise_contains(flt, x)]
         assert got.tolist() == want

@@ -331,6 +331,21 @@ class TestSampleMany:
         assert len(unpacks) == 1
         assert all(query.contains(o.element) for o in outs)
 
+    def test_samples_of_one_query_unpack_it_once(self, monkeypatch):
+        M = 10**5
+        fam = make_family(FamilyKind.MURMUR3, 3, 6400, seed=1)
+        tree = BloomSampleTree.build_full(plan_with_m(6400, M, 3, 240.0), fam)
+        query = build_filter(fam, M, np.random.default_rng(4).choice(M, 300, replace=False))
+        unpacks = []
+        unpackbits = np.unpackbits
+        monkeypatch.setattr(np, "unpackbits",
+                            lambda *a, **kw: unpacks.append(1) or unpackbits(*a, **kw))
+        rng = np.random.default_rng(6)
+        outs = [tree.sample(query, rng=rng) for _ in range(20)]
+        assert sum(o.counters.leaves_scanned for o in outs) >= 20
+        assert len(unpacks) == 1
+        assert all(query.contains(o.element) for o in outs)
+
     def test_rejects_nonpositive_r(self):
         tree, plan, fam = small_tree(M=16, leaf_ratio=2.0)
         with pytest.raises(ValueError):
