@@ -310,7 +310,7 @@ class BloomFilter:
         elements per element instead of k.
         """
         bits = self._unpacked()
-        xs = np.flatnonzero(bits.take(_hash_ranges(self.family, 0, pieces)))
+        xs = bits.take(_hash_ranges(self.family, 0, pieces)).nonzero()[0]
         if len(pieces) == 1:
             xs += pieces[0][0]
         else:
@@ -351,6 +351,8 @@ class BloomFilter:
             else:
                 merged.append([lo, hi])
         parts = [self._scan_chunk(pieces) for pieces in _chunks(merged)]
+        if len(parts) == 1:
+            return parts[0]
         return np.concatenate(parts) if parts else np.empty(0, dtype=np.int64)
 
     def _check_compatible(self, other: "BloomFilter"):

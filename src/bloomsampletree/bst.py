@@ -494,8 +494,10 @@ class BloomSampleTree:
         estimates (left, with no coin, on an exact tie at the threshold),
         and the second is pushed under it, so a dead end backtracks into
         the sibling.  A leaf yields a uniform pick among its positives.
-        Each child estimate and leaf scan is computed once per call, and
-        counted in the counters of the path that computed it.  Without
+        Each parent's move (its surviving children and their coin
+        probability) and each leaf scan is computed once per call, and
+        counted in the counters of the path that computed it; a path that
+        meets the parent again draws only its coin.  Without
         replacement, a drawn element leaves its leaf's positives, and a path
         that ends empty after a drained leaf is dropped: the list may be short.
         """
@@ -507,7 +509,7 @@ class BloomSampleTree:
         nodes, plan, t1 = self.nodes, self.plan, query.popcount()
         depth, width, M = plan.depth, plan.leaf_size, plan.namespace_size
         hits_of: dict = {}  # leaf j -> membership-positive elements of its range not yet drawn
-        ests: dict = {}     # (level, j) -> its children's estimates, None if pruned
+        moves: dict = {}    # parent (level, j) -> its ``move``
         drained: set = set()  # leaves whose positives were all drawn
 
         def estimate(key) -> Optional[float]:
@@ -522,13 +524,29 @@ class BloomSampleTree:
             est = intersection_estimate_counts(plan.m, plan.k, node.popcount(), t1, t_and)
             return None if est < threshold else est
 
+        def move(level: int, j: int) -> tuple:
+            """The parent's move: its surviving children in push order, the
+            left one pushed last so popped first, and the probability that
+            the left one goes first; None where no coin is drawn (one
+            survivor, or an exact tie at the threshold)."""
+            left, right = (level + 1, 2 * j), (level + 1, 2 * j + 1)
+            est_l = estimate(left)
+            est_r = estimate(right)
+            if est_r is None:
+                return ((), None) if est_l is None else ((left,), None)
+            if est_l is None:
+                return (right,), None
+            if est_l == est_r == threshold:
+                return (right, left), None
+            return (right, left), self._left_probability(est_l, est_r)
+
         outcomes = []
         for _ in range(r):
-            counters, element, blocked = OpCounters(), None, False
+            counters, element, blocked, visited = OpCounters(), None, False, 0
             stack = [(0, 0)] if (0, 0) in nodes else []
             while stack:
                 key = stack.pop()
-                counters.nodes_visited += 1
+                visited += 1
                 level, j = key
                 if level == depth:
                     hits = hits_of.get(j)
@@ -547,21 +565,15 @@ class BloomSampleTree:
                                 drained.add(j)
                         break
                     continue
-                left, right = (level + 1, 2 * j), (level + 1, 2 * j + 1)
-                pair = ests.get(key)
-                if pair is None:
-                    pair = ests[key] = (estimate(left), estimate(right))
-                est_l, est_r = pair
-                if est_r is None:
-                    if est_l is not None:
-                        stack.append(left)
-                elif est_l is None:
-                    stack.append(right)
-                elif est_l == est_r == threshold or rng.random() < self._left_probability(
-                        est_l, est_r):
-                    stack += right, left
+                choice = moves.get(key)
+                if choice is None:
+                    choice = moves[key] = move(level, j)
+                children, p = choice
+                if p is None or rng.random() < p:
+                    stack += children
                 else:
-                    stack += left, right
+                    stack += children[::-1]
+            counters.nodes_visited = visited
             if element is None and blocked:
                 continue  # without replacement, every reachable positive is taken
             outcomes.append(SampleOutcome(element, counters))

@@ -48,6 +48,8 @@ _SCALAR_MAX_SIZE = 8
 
 _MIX1 = 0xFF51AFD7ED558CCD
 _MIX2 = 0xC4CEB9FE1A85EC53
+# The mix's operands as numpy scalars, built once rather than on every call.
+_U33, _UMIX1, _UMIX2 = np.uint64(33), np.uint64(_MIX1), np.uint64(_MIX2)
 
 
 class FamilyKind(enum.IntEnum):
@@ -167,11 +169,16 @@ def _murmur_mix(h: np.ndarray, seed: int) -> np.ndarray:
     """64-bit avalanche mix (murmur3 finalizer) of the uint64 ``h`` xor seed,
     in place."""
     h ^= np.uint64(seed)
-    h ^= h >> np.uint64(33)
-    h *= np.uint64(_MIX1)
-    h ^= h >> np.uint64(33)
-    h *= np.uint64(_MIX2)
-    h ^= h >> np.uint64(33)
+    h ^= h >> _U33
+    return _murmur_tail(h)
+
+
+def _murmur_tail(h: np.ndarray) -> np.ndarray:
+    """The mix after its first xor-shift, in place."""
+    h *= _UMIX1
+    h ^= h >> _U33
+    h *= _UMIX2
+    h ^= h >> _U33
     return h
 
 
@@ -244,7 +251,7 @@ def hash_many(family: HashFamily, i: int, xs: np.ndarray) -> np.ndarray:
         return _reduce(h, family.m)
     h = _murmur_mix(xs.astype(np.uint64), family.params[i])
     if small:
-        return (h % np.uint64(family.m)).astype(np.int64)
+        return (h % np.uint64(family.m)).view(np.int64)
     return _reduce(h, np.uint64(family.m)).view(np.int64)
 
 
@@ -255,9 +262,12 @@ def _hash_ranges(family: HashFamily, i: int, pieces) -> np.ndarray:
 
     The linear family evaluates ``a*x + b`` over a piece as one stepped
     uint64 ``arange`` from ``a*lo + b``: the namespace limit keeps every
-    value in [0, 2^63), and the stop ``a*hi + b`` below 2^64.  murmur3 mixes
-    one uint64 ``arange`` per piece in place.  Both then reduce by the
-    unsigned multiply-shift ``_reduce``.  The md5 family, and calls below
+    value in [0, 2^63), and the stop ``a*hi + b`` below 2^64.  murmur3 cuts
+    each piece at the multiples of 2^33 and folds the mix's first xor-shift
+    into one constant per cut: where x >> 33 is the same for every x,
+    ``(x ^ s) ^ ((x ^ s) >> 33) == x ^ (s ^ (s >> 33) ^ (x >> 33))``, as a
+    shift distributes over xor.  Both then reduce by the unsigned
+    multiply-shift ``_reduce``.  The md5 family, and calls below
     ``_REDUCE_MIN_SIZE`` elements, go through ``hash_many``.
     """
     if (family.kind == FamilyKind.MD5
@@ -268,10 +278,19 @@ def _hash_ranges(family: HashFamily, i: int, pieces) -> np.ndarray:
         a, b = family.params[i]
         parts = [np.arange(a * lo + b, a * hi + b, a, dtype=np.uint64) for lo, hi in pieces]
     else:
-        parts = [np.arange(lo, hi, dtype=np.uint64) for lo, hi in pieces]
+        seed = family.params[i]
+        fold = seed ^ (seed >> 33)
+        parts = []
+        for lo, hi in pieces:
+            while lo < hi:
+                stop = min(hi, ((lo >> 33) + 1) << 33)
+                part = np.arange(lo, stop, dtype=np.uint64)
+                part ^= np.uint64(fold ^ (lo >> 33))
+                parts.append(part)
+                lo = stop
     h = parts[0] if len(parts) == 1 else np.concatenate(parts)
     if family.kind == FamilyKind.MURMUR3:
-        _murmur_mix(h, family.params[i])
+        _murmur_tail(h)
     return _reduce(h, np.uint64(family.m)).view(np.int64)
 
 

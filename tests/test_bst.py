@@ -1284,6 +1284,39 @@ class TestIterativeSampler:
         tree.sample_many(query, 200, True, 0.0, np.random.default_rng(1))
         assert pairs == {(True, True), (True, False), (False, True), (False, False)}
 
+    @pytest.mark.parametrize("case, threshold", [("full", 0.5), ("full-MURMUR3", 0.0),
+                                                  ("tie", 0.5), ("saturated", 0.0)])
+    def test_one_coin_probability_per_parent(self, monkeypatch, case, threshold):
+        _, tree, members = next(t for t in _sampler_trees() if t[0] == case)
+        query = build_filter(tree.family, tree.plan.namespace_size, members)
+
+        def survivor(key):
+            node = tree.nodes.get(key)
+            if node is None or not (node.words & query.words).any():
+                return None
+            est = _estimate(node, query)
+            return None if est < threshold else est
+
+        coins = 0  # parents with two surviving children, not tied at the threshold
+        for level, j in tree.nodes:
+            if level < tree.plan.depth:
+                est_l, est_r = survivor((level + 1, 2 * j)), survivor((level + 1, 2 * j + 1))
+                coins += (est_l is not None and est_r is not None
+                          and not est_l == est_r == threshold)
+        unspied = tree.sample_many(query, 300, True, threshold, np.random.default_rng(4))
+        calls = []
+        real = BloomSampleTree._left_probability
+
+        def spy(est_l, est_r):
+            calls.append((est_l, est_r))
+            return real(est_l, est_r)
+
+        monkeypatch.setattr(BloomSampleTree, "_left_probability", staticmethod(spy))
+        spied = tree.sample_many(query, 300, True, threshold, np.random.default_rng(4))
+        assert 0 < len(calls) <= coins
+        assert [o.element for o in spied] == [o.element for o in unspied]
+        assert [o.counters for o in spied] == [o.counters for o in unspied]
+
 
 class TestNegativeThreshold:
     """No estimate is negative, so a negative threshold acts as 0."""

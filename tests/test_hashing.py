@@ -422,3 +422,16 @@ class TestHashRanges:
             hi - lo for lo, hi in ranges)
         for pieces in chunks:
             self._check(fam, pieces)
+
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    def test_pieces_that_cross_a_multiple_of_2_33(self, kind):
+        # murmur3 folds its first xor-shift into one constant per 2^33 block,
+        # so a piece that crosses a block boundary is hashed in two parts
+        block = 1 << 33
+        fam = make_family(kind, 3, 60_870, seed=47)
+        top = fam.namespace_limit
+        assert top > 3 * block
+        self._check(fam, [(block - 700, block + 900)])
+        self._check(fam, [(5, 40), (block + 3, block + 10), (2 * block - 600, 2 * block + 1),
+                          (3 * block - 1, 3 * block + 300)])
+        self._check(fam, [(2 * block - 2, 2 * block + 600), (top - 800, top)])
