@@ -196,8 +196,8 @@ def check_query_namespace(query: "BloomFilter", namespace_size: int) -> None:
 class BloomFilter:
     """m-bit filter bound to a hash family and a namespace bound.
 
-    ``words`` is any integer array of the right length, strided or
-    read-only, that sets no bit at or past m.  Every membership probe is a
+    ``words`` is any 1-D integer array of ``(m + 63) // 64`` words, strided
+    or read-only, that sets no bit at or past m.  Every membership probe is a
     byte gather from the bits unpacked once (``_unpacked``) and kept, like
     the popcount, until the next write: m extra bytes per probed filter.
     """
@@ -213,9 +213,10 @@ class BloomFilter:
         if words is None:
             self.words = np.zeros(n_words, dtype=np.uint64)
         else:
-            if len(words) != n_words:
-                raise ValueError("word array length does not match m")
             words = np.asarray(words)
+            if words.shape != (n_words,):
+                raise ValueError(f"filter words must be a 1-D array of {n_words} integers "
+                                 f"for m = {family.m}, not shape {words.shape}")
             if words.dtype.kind not in "iu":
                 raise ValueError(f"filter words must be integers, not {words.dtype}")
             self.words = words.astype(np.uint64, copy=False)

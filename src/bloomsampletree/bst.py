@@ -210,6 +210,8 @@ def plan_with_m(m: int, namespace_size: int, k: int, cost_ratio: float,
         raise PlanError(f"k must be in [1, 2^16), got {k}")
     if m < 8 * k:
         raise PlanError(f"m={m} is degenerate for k={k}")
+    if namespace_size < 1:
+        raise PlanError(f"namespace size must be >= 1, got {namespace_size}")
     cap = max_leaf_capacity(cost_ratio)
     depth = 0
     while -(-namespace_size // (1 << depth)) > cap and (1 << depth) < namespace_size:
@@ -497,9 +499,10 @@ class BloomSampleTree:
         Each parent's move (its surviving children and their coin
         probability) and each leaf scan is computed once per call, and
         counted in the counters of the path that computed it; a path that
-        meets the parent again draws only its coin.  Without
-        replacement, a drawn element leaves its leaf's positives, and a path
-        that ends empty after a drained leaf is dropped: the list may be short.
+        meets the parent again draws only its coin.  Without replacement, a
+        drawn element leaves its leaf's positives, and the first path after
+        a draw that finds nothing, having walked every reachable node, ends
+        the call: the list may be short, and ``rng`` advances no further.
         """
         if r < 1:
             raise ValueError("r must be >= 1")
@@ -510,7 +513,6 @@ class BloomSampleTree:
         depth, width, M = plan.depth, plan.leaf_size, plan.namespace_size
         hits_of: dict = {}  # leaf j -> membership-positive elements of its range not yet drawn
         moves: dict = {}    # parent (level, j) -> its ``move``
-        drained: set = set()  # leaves whose positives were all drawn
 
         def estimate(key) -> Optional[float]:
             """The child's estimate, None if pruned; one intersection if present."""
@@ -542,7 +544,7 @@ class BloomSampleTree:
 
         outcomes = []
         for _ in range(r):
-            counters, element, blocked, visited = OpCounters(), None, False, 0
+            counters, element, visited = OpCounters(), None, 0
             stack = [(0, 0)] if (0, 0) in nodes else []
             while stack:
                 key = stack.pop()
@@ -555,14 +557,11 @@ class BloomSampleTree:
                         hits = hits_of[j] = query.scan([(lo, hi)])
                         counters.membership_queries += max(0, hi - lo)
                         counters.leaves_scanned += 1
-                    blocked = blocked or j in drained
                     if hits.size:
                         i = rng.integers(hits.size)
                         element = int(hits[i])
                         if not with_replacement:
                             hits_of[j] = np.delete(hits, i)
-                            if hits.size == 1:
-                                drained.add(j)
                         break
                     continue
                 choice = moves.get(key)
@@ -573,9 +572,9 @@ class BloomSampleTree:
                     stack += children
                 else:
                     stack += children[::-1]
+            if element is None and outcomes and outcomes[-1].element is not None:
+                break  # only without replacement: every reachable positive is drawn
             counters.nodes_visited = visited
-            if element is None and blocked:
-                continue  # without replacement, every reachable positive is taken
             outcomes.append(SampleOutcome(element, counters))
         return outcomes
 

@@ -1,5 +1,6 @@
 """Tests for the Bloom filter value type."""
 import math
+import re
 import struct
 
 import numpy as np
@@ -380,6 +381,12 @@ class TestConstructorWords:
         fam = make_family(FamilyKind.MURMUR3, 3, 128, seed=0)
         with pytest.raises(ValueError, match="must be integers, not float64"):
             BloomFilter(fam, 1000, words=np.array([1.7, 2.2]))
+
+    @pytest.mark.parametrize("shape", [(2, 1), (2, 2), ()])
+    def test_rejects_words_that_are_not_one_row(self, shape):
+        fam = make_family(FamilyKind.MURMUR3, 3, 128, seed=0)
+        with pytest.raises(ValueError, match=re.escape(f"not shape {shape}")):
+            BloomFilter(fam, 1000, words=np.ones(shape, dtype=np.uint64))
 
     @pytest.mark.parametrize("m", [100, 1009])
     def test_rejects_a_bit_at_or_past_m(self, m):

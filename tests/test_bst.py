@@ -95,6 +95,11 @@ class TestPlanner:
         with pytest.raises(PlanError):
             plan_with_m(10, 100, 3, 2.0)
 
+    @pytest.mark.parametrize("M", [0, -5])
+    def test_rejects_empty_namespace(self, M):
+        with pytest.raises(PlanError, match="namespace size"):
+            plan_with_m(200, M, 3, 240.0)
+
     def test_plan_round_trip(self):
         plan = plan_from_accuracy(0.8, 500, 10**5, 4, 100.0)
         back, offset = TreePlan.from_bytes(plan.to_bytes())
@@ -312,6 +317,24 @@ class TestSampleMany:
         outs = tree.sample_many(q, 2 * positives.size, with_replacement=False,
                                 threshold=0.0, rng=np.random.default_rng(31))
         assert sorted(o.element for o in outs) == sorted(positives.tolist())
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.5])
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    def test_without_replacement_stops_at_the_first_empty_path(self, kind, threshold):
+        # the path after the last reachable positive walks the whole tree
+        # and finds nothing, so a call past it draws nothing more
+        tree, plan, fam = small_tree(M=2000, m=2000, leaf_ratio=8.0, family_kind=kind)
+        q = build_filter(fam, 2000, np.random.default_rng(29).choice(2000, 60, replace=False))
+        n_reachable = len(tree.sample_many(q, 2000, with_replacement=False,
+                                           threshold=threshold, rng=np.random.default_rng(1)))
+        assert n_reachable > 0
+        calls = []
+        for r in (n_reachable + 1, 20 * n_reachable):
+            rng = np.random.default_rng(31)
+            outs = tree.sample_many(q, r, with_replacement=False, threshold=threshold, rng=rng)
+            calls.append(([(o.element, o.counters) for o in outs], rng.bit_generator.state))
+        assert calls[0] == calls[1]
+        assert len(calls[0][0]) == n_reachable
 
     @pytest.mark.parametrize("with_replacement", [True, False])
     def test_unpacks_the_query_once_per_call(self, monkeypatch, with_replacement):

@@ -43,6 +43,14 @@ class TestPlan:
         with pytest.raises(SystemExit):
             main(["plan", "--accuracy", "1.0", "-M", "1000"])
 
+    @pytest.mark.parametrize("M", [0, -5])
+    def test_empty_namespace_rejected(self, capsys, M):
+        code = main(["plan", "-M", str(M), "--force-m", "200"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
 
 class TestBuild:
     def test_small_full_tree_node_count(self, capsys, tmp_path):
