@@ -14,6 +14,7 @@ scanned, and every node filter is bounded by M itself.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass, field
 from itertools import islice, repeat
@@ -302,6 +303,62 @@ def _ands_nonempty(rows: list, words: np.ndarray, w: int) -> list:
     return hit.tolist()
 
 
+class _Moves(dict):
+    """The traversal rule for one query: a dict from parent ``(level, j)`` to
+    its move, worked out the first time the parent is looked up.
+
+    Building it checks the threshold, then the query against ``tree``.  A
+    node is kept when its AND with the query is not empty and its estimate
+    is not below the threshold.  A parent's move is its present, kept
+    children in push order, the left one pushed last so popped first, and
+    the probability that the left one goes first; None where no coin is
+    drawn (one kept child, or an exact tie at the threshold).  Working out a
+    move costs one intersection per present child, added to ``counters``.
+    """
+
+    # Slots, not an instance dict: on CPython 3.11 an attribute read from a
+    # dict subclass's instance dict is not specialised, and that made one
+    # ``sample`` call on the bench tree about 6 us (4%) slower.
+    __slots__ = ("threshold", "nodes", "words", "t1", "m", "k", "counters")
+
+    def __init__(self, tree: "BloomSampleTree", query: BloomFilter, threshold: float):
+        self.threshold = _check_threshold(threshold)
+        if query.family != tree.family:
+            raise FamilyMismatchError("query filter incompatible with tree filters")
+        check_query_namespace(query, tree.plan.namespace_size)
+        self.nodes, self.words, self.t1 = tree.nodes, query.words, query.popcount()
+        self.m, self.k, self.counters = tree.plan.m, tree.plan.k, OpCounters()
+
+    def kept(self, node: BloomFilter, t_and: int) -> Optional[float]:
+        """The node's estimate from its AND's popcount ``t_and``, None if pruned."""
+        if not t_and:
+            return None
+        est = intersection_estimate_counts(self.m, self.k, node.popcount(), self.t1, t_and)
+        return None if est < self.threshold else est
+
+    def _child(self, key) -> Optional[float]:
+        node = self.nodes.get(key)
+        if node is None:
+            return None
+        self.counters.intersections += 1
+        return self.kept(node, int(np.bitwise_count(node.words & self.words).sum()))
+
+    def __missing__(self, key) -> tuple:
+        level, j = key
+        left, right = (level + 1, 2 * j), (level + 1, 2 * j + 1)
+        est_l, est_r = self._child(left), self._child(right)
+        if est_r is None:
+            move = ((), None) if est_l is None else ((left,), None)
+        elif est_l is None:
+            move = (right,), None
+        elif est_l == est_r == self.threshold:
+            move = (right, left), None
+        else:
+            move = (right, left), BloomSampleTree._left_probability(est_l, est_r)
+        self[key] = move
+        return move
+
+
 class BloomSampleTree:
     """The tree itself: a dict of (level, index) -> BloomFilter nodes.
 
@@ -454,11 +511,6 @@ class BloomSampleTree:
 
     # traversal helpers -------------------------------------------------
 
-    def _check_query(self, query: BloomFilter):
-        if query.family != self.family:
-            raise FamilyMismatchError("query filter incompatible with tree filters")
-        check_query_namespace(query, self.plan.namespace_size)
-
     @staticmethod
     def _left_probability(est_l: float, est_r: float) -> float:
         if math.isinf(est_l) and math.isinf(est_r):
@@ -486,66 +538,35 @@ class BloomSampleTree:
 
     def sample_many(self, query: BloomFilter, r: int, with_replacement: bool = True,
                     threshold: float = DEFAULT_THRESHOLD, rng=None) -> list[SampleOutcome]:
-        """Draw r elements in one batch, sharing estimates and leaf scans
+        """Draw r elements in one batch, sharing moves and leaf scans
         between paths.
 
         Each path is one depth-first descent over a stack of ``(level, j)``
-        keys.  A child is pruned when it is absent, its AND with the query
-        is empty, or its estimate is below ``threshold``.  Where both
-        children survive, one coin picks the first in proportion to the
-        estimates (left, with no coin, on an exact tie at the threshold),
-        and the second is pushed under it, so a dead end backtracks into
-        the sibling.  A leaf yields a uniform pick among its positives.
-        Each parent's move (its surviving children and their coin
-        probability) and each leaf scan is computed once per call, and
-        counted in the counters of the path that computed it; a path that
-        meets the parent again draws only its coin.  Without replacement, a
-        drawn element leaves its leaf's positives, and the first path after
-        a draw that finds nothing, having walked every reachable node, ends
-        the call: the list may be short, and ``rng`` advances no further.
+        keys.  A parent pushes the children of its move, read from one
+        ``_Moves`` table per call, flipped when its coin sends the right one
+        first, so a dead end backtracks into the sibling.  A leaf yields a uniform pick
+        among its positives.  Each move and each leaf scan is computed once
+        per call, and counted in the counters of the path that computed it.
+        Without replacement, a drawn element leaves its leaf's positives,
+        and the first path after a draw that finds nothing, having walked
+        every reachable node, ends the call: the list may be short, and
+        ``rng`` advances no further.
         """
+        try:
+            r = operator.index(r)
+        except TypeError:
+            raise ValueError(f"r must be an integer, got {r!r}") from None
         if r < 1:
             raise ValueError("r must be >= 1")
-        threshold = _check_threshold(threshold)
-        self._check_query(query)
+        moves = _Moves(self, query, threshold)
         rng = np.random.default_rng() if rng is None else rng
-        nodes, plan, t1 = self.nodes, self.plan, query.popcount()
-        depth, width, M = plan.depth, plan.leaf_size, plan.namespace_size
+        depth, width, M = self.plan.depth, self.plan.leaf_size, self.plan.namespace_size
         hits_of: dict = {}  # leaf j -> membership-positive elements of its range not yet drawn
-        moves: dict = {}    # parent (level, j) -> its ``move``
-
-        def estimate(key) -> Optional[float]:
-            """The child's estimate, None if pruned; one intersection if present."""
-            node = nodes.get(key)
-            if node is None:
-                return None
-            counters.intersections += 1
-            t_and = int(np.bitwise_count(node.words & query.words).sum())
-            if not t_and:
-                return None
-            est = intersection_estimate_counts(plan.m, plan.k, node.popcount(), t1, t_and)
-            return None if est < threshold else est
-
-        def move(level: int, j: int) -> tuple:
-            """The parent's move: its surviving children in push order, the
-            left one pushed last so popped first, and the probability that
-            the left one goes first; None where no coin is drawn (one
-            survivor, or an exact tie at the threshold)."""
-            left, right = (level + 1, 2 * j), (level + 1, 2 * j + 1)
-            est_l = estimate(left)
-            est_r = estimate(right)
-            if est_r is None:
-                return ((), None) if est_l is None else ((left,), None)
-            if est_l is None:
-                return (right,), None
-            if est_l == est_r == threshold:
-                return (right, left), None
-            return (right, left), self._left_probability(est_l, est_r)
-
         outcomes = []
         for _ in range(r):
-            counters, element, visited = OpCounters(), None, 0
-            stack = [(0, 0)] if (0, 0) in nodes else []
+            moves.counters = counters = OpCounters()
+            element, visited = None, 0
+            stack = [(0, 0)] if (0, 0) in self.nodes else []
             while stack:
                 key = stack.pop()
                 visited += 1
@@ -564,10 +585,7 @@ class BloomSampleTree:
                             hits_of[j] = np.delete(hits, i)
                         break
                     continue
-                choice = moves.get(key)
-                if choice is None:
-                    choice = moves[key] = move(level, j)
-                children, p = choice
+                children, p = moves[key]
                 if p is None or rng.random() < p:
                     stack += children
                 else:
@@ -586,7 +604,8 @@ class BloomSampleTree:
         frontier get a stacked AND plus popcount against the query (in
         batches of at most ``_STACK_BYTES`` of words), a
         node whose AND is empty or whose estimate is below ``threshold`` is
-        pruned, and the children of the rest form the next frontier.  The
+        pruned (``_Moves.kept``), and the children of the rest form the
+        next frontier.  The
         surviving leaves are then scanned as one list of ranges.
 
         With threshold 0 only an empty AND prunes a node, and:
@@ -605,10 +624,7 @@ class BloomSampleTree:
         where those are empty; a query that sets no bit in those words has
         every full row tested at once, since each prefix AND would be empty.
         """
-        threshold = _check_threshold(threshold)
-        self._check_query(query)
-        counters = OpCounters()
-        plan, t1 = self.plan, query.popcount()
+        moves, counters, plan = _Moves(self, query, threshold), OpCounters(), self.plan
         prefix = _PREFIX_WORDS if query.words[:_PREFIX_WORDS].any() else 0
         # a row's popcount is at most 64 * n_words, so a uint32 sum is exact
         # where that fits; numpy's default uint64 sum of the uint8 counts
@@ -626,8 +642,9 @@ class BloomSampleTree:
             counters.nodes_visited += len(present)
             frontier = []
             for batch in self._batches(present):
-                if threshold <= 0:
-                    # an estimate is >= 0, -0.0 or inf: only an empty AND prunes
+                if moves.threshold <= 0:
+                    # ``kept`` at 0: an estimate is >= 0, -0.0 or inf, so only
+                    # an empty AND prunes
                     hit = _ands_nonempty([node.words for _, node in batch], query.words,
                                          prefix)
                     frontier += [j for (j, _), h in zip(batch, hit) if h]
@@ -636,8 +653,7 @@ class BloomSampleTree:
                 np.bitwise_and(stack, query.words, out=stack)
                 t_and = np.bitwise_count(stack).sum(axis=1, dtype=count_dtype).tolist()
                 frontier += [j for (j, node), t in zip(batch, t_and)
-                             if t and not intersection_estimate_counts(
-                                 plan.m, plan.k, node.popcount(), t1, t) < threshold]
+                             if moves.kept(node, t) is not None]
         M, width = plan.namespace_size, plan.leaf_size
         ranges = [(j * width, min((j + 1) * width, M)) for j in frontier]
         counters.leaves_scanned = len(ranges)

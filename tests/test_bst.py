@@ -374,6 +374,19 @@ class TestSampleMany:
         with pytest.raises(ValueError):
             tree.sample_many(BloomFilter(fam, 16), 0)
 
+    @pytest.mark.parametrize("r", [2.5, "3"])
+    def test_rejects_non_integer_r(self, r):
+        tree, plan, fam = small_tree(M=16, leaf_ratio=2.0)
+        with pytest.raises(ValueError, match="^r must be an integer"):
+            tree.sample_many(build_filter(fam, 16, [3]), r)
+
+    def test_numpy_integer_r(self):
+        tree, plan, fam = small_tree(M=16, leaf_ratio=2.0)
+        query = build_filter(fam, 16, [3, 9])
+        got = tree.sample_many(query, np.int64(5), rng=np.random.default_rng(2))
+        want = tree.sample_many(query, 5, rng=np.random.default_rng(2))
+        assert [(o.element, o.counters) for o in got] == [(o.element, o.counters) for o in want]
+
 
 class TestReconstruct:
     def test_all_zero_query(self):
@@ -1339,6 +1352,91 @@ class TestIterativeSampler:
         assert 0 < len(calls) <= coins
         assert [o.element for o in spied] == [o.element for o in unspied]
         assert [o.counters for o in spied] == [o.counters for o in unspied]
+
+
+def _move_table_cases():
+    """Every ``_sampler_trees`` case at each of its ``_thresholds``."""
+    for case, tree, members in _sampler_trees():
+        query = build_filter(tree.family, tree.plan.namespace_size, members)
+        for threshold in _thresholds(tree, query):
+            yield case, tree, query, threshold
+
+
+class TestMoveTable:
+    """``bst._Moves`` holds the one traversal rule that ``sample_many`` and
+    ``reconstruct`` share."""
+
+    def test_each_move_is_the_rule(self):
+        rng, n_cases = np.random.default_rng(8), 0
+        for case, tree, query, threshold in _move_table_cases():
+            def kept(key):
+                node = tree.nodes.get(key)
+                if node is None or not (node.words & query.words).any():
+                    return None
+                est = _estimate(node, query)
+                return None if est < threshold else est
+
+            parents = sorted(key for key in tree.nodes if key[0] < tree.plan.depth)
+            expected, present = {}, 0
+            for level, j in parents:
+                left, right = (level + 1, 2 * j), (level + 1, 2 * j + 1)
+                present += (left in tree.nodes) + (right in tree.nodes)
+                est_l, est_r = kept(left), kept(right)
+                children = tuple(key for key, est in ((right, est_r), (left, est_l))
+                                 if est is not None)
+                if len(children) < 2 or est_l == est_r == threshold:
+                    p = None
+                elif math.isinf(est_l) or math.isinf(est_r):
+                    p = 0.5 if est_l == est_r else float(math.isinf(est_l))
+                else:
+                    p = est_l / (est_l + est_r)
+                expected[(level, j)] = children, p
+            table = bst._Moves(tree, query, threshold)
+            for key in parents:
+                table[key]
+            assert table == expected, (case, threshold)
+            assert table.counters.intersections == present, (case, threshold)
+            # a move depends on no other move: any fill order gives the same table
+            shuffled = bst._Moves(tree, query, threshold)
+            for i in rng.permutation(len(parents)).tolist():
+                shuffled[parents[i]]
+            assert shuffled == table and shuffled.counters == table.counters
+            n_cases += 1
+        assert n_cases == 35
+
+    def test_reconstruct_scans_the_leaves_the_moves_reach(self, monkeypatch):
+        scanned = []
+        scan = BloomFilter.scan
+
+        def spy(self, ranges):
+            scanned.extend(lo for lo, _ in ranges)
+            return scan(self, ranges)
+
+        monkeypatch.setattr(BloomFilter, "scan", spy)
+        n_cases = n_reaching = 0
+        for case, tree, query, threshold in _move_table_cases():
+            scanned.clear()
+            tree.reconstruct(query, threshold)
+            table = bst._Moves(tree, query, threshold)
+            # The root exception: reconstruct tests the root and sample_many
+            # never does (the open FOUND note in CHANGES.md on the sampler's
+            # root), so the walk starts from the root only where reconstruct
+            # keeps it.
+            root = tree.nodes.get((0, 0))
+            root_kept = root is not None and table.kept(
+                root, int(np.bitwise_count(root.words & query.words).sum())) is not None
+            stack, reached = ([(0, 0)] if root_kept else []), []
+            while stack:
+                level, j = stack.pop()
+                if level == tree.plan.depth:
+                    reached.append(j)
+                else:
+                    stack += table[(level, j)][0]
+            assert [lo // tree.plan.leaf_size for lo in scanned] == sorted(reached), \
+                (case, threshold)
+            n_cases += 1
+            n_reaching += bool(reached)
+        assert n_cases == 35 and n_reaching > 25
 
 
 class TestNegativeThreshold:
