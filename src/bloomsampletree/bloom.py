@@ -13,7 +13,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .hashing import HashFamily, _hash_ints, _hash_ranges, hash_many
+from .hashing import HashFamily, _exact_int, _hash_ints, _hash_ranges, hash_many
 
 __all__ = ["BloomFilter", "FamilyMismatchError", "as_elements", "check_element",
            "check_elements", "check_query_namespace"]
@@ -29,17 +29,6 @@ _RESERVED = (1 << 64) - 1
 # measured slower than chunks of this size.
 SCAN_CHUNK = 1 << 16
 _INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
-
-
-def _exact_int(v) -> int:
-    if isinstance(v, (float, np.floating)):
-        if not float(v).is_integer():
-            raise ValueError(f"element {v!r} is not an integer")
-        return int(v)
-    try:
-        return operator.index(v)
-    except TypeError:
-        raise ValueError(f"element {v!r} is not an integer") from None
 
 
 def as_elements(values) -> np.ndarray:
@@ -206,9 +195,8 @@ class BloomFilter:
 
     def __init__(self, family: HashFamily, namespace_size: int,
                  words: Optional[np.ndarray] = None):
-        family.check_namespace(namespace_size)
         self.family = family
-        self.namespace_size = int(namespace_size)
+        self.namespace_size = family.check_namespace(namespace_size)
         n_words = (family.m + 63) // 64
         if words is None:
             self.words = np.zeros(n_words, dtype=np.uint64)

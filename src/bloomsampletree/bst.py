@@ -26,7 +26,7 @@ from .bloom import (BloomFilter, FamilyMismatchError, check_element, check_eleme
                     check_query_namespace, filter_rows, insert_masks, tail_mask,
                     word_masks)
 from .estimate import fp_probability, intersection_estimate_counts
-from .hashing import HashFamily
+from .hashing import HashFamily, _exact_int
 
 __all__ = [
     "OpCounters",
@@ -119,6 +119,11 @@ class TreePlan:
     # the fields above in order, as a tree file stores them
     _STRUCT = struct.Struct("<QQHHQdd")
 
+    def __post_init__(self):
+        # the sizes are read as elements are, so the plan holds Python ints
+        for name in ("namespace_size", "m", "k", "depth", "leaf_size"):
+            object.__setattr__(self, name, _exact_int(getattr(self, name), name))
+
     @property
     def padded_size(self) -> int:
         """Covered namespace: M rounded up so leaf_size * 2^depth divides it."""
@@ -174,6 +179,14 @@ def max_leaf_capacity(cost_ratio: float) -> int:
     return lo
 
 
+def _plan_int(value, what: str) -> int:
+    """A size read by the rule of ``_exact_int``, raising PlanError."""
+    try:
+        return _exact_int(value, what)
+    except ValueError as err:
+        raise PlanError(str(err)) from None
+
+
 def plan_from_accuracy(accuracy: float, n_ref: int, namespace_size: int, k: int,
                        cost_ratio: float) -> TreePlan:
     """Derive (m, depth, leaf width) from an accuracy target.
@@ -181,8 +194,10 @@ def plan_from_accuracy(accuracy: float, n_ref: int, namespace_size: int, k: int,
     Accuracy acc = n / (n + (M - n) * FP) is inverted to a false
     positive budget, m is the smallest filter size meeting it for a set
     of ``n_ref`` elements, and the leaf width is the largest one whose
-    brute-force scan is no costlier than descending further.
+    brute-force scan is no costlier than descending further.  M and k are
+    read as elements are, so 10.0 is 10 and 3.5 raises PlanError.
     """
+    namespace_size, k = _plan_int(namespace_size, "namespace size"), _plan_int(k, "k")
     if not 1 <= k < 1 << 16:  # TreePlan and the family descriptor store k as u16
         raise PlanError(f"k must be in [1, 2^16), got {k}")
     if not 0.0 < accuracy < 1.0:
@@ -206,7 +221,12 @@ def plan_from_accuracy(accuracy: float, n_ref: int, namespace_size: int, k: int,
 
 def plan_with_m(m: int, namespace_size: int, k: int, cost_ratio: float,
                 accuracy_target: float = 1.0) -> TreePlan:
-    """Plan with an explicitly chosen filter size (accuracy formula bypassed)."""
+    """Plan with an explicitly chosen filter size (accuracy formula bypassed).
+
+    m, M and k are read as elements are, so the plan holds Python ints.
+    """
+    m, k = _plan_int(m, "m"), _plan_int(k, "k")
+    namespace_size = _plan_int(namespace_size, "namespace size")
     if not 1 <= k < 1 << 16:  # TreePlan and the family descriptor store k as u16
         raise PlanError(f"k must be in [1, 2^16), got {k}")
     if m < 8 * k:
@@ -312,8 +332,10 @@ class _Moves(dict):
     is not below the threshold.  A parent's move is its present, kept
     children in push order, the left one pushed last so popped first, and
     the probability that the left one goes first; None where no coin is
-    drawn (one kept child, or an exact tie at the threshold).  Working out a
-    move costs one intersection per present child, added to ``counters``.
+    drawn (one kept child, or an exact tie at the threshold).  The root's
+    move is the move of ``(-1, 0)``: its children are the root ``(0, 0)``,
+    if kept, and ``(0, 1)``, which no tree holds.  Working out a move costs
+    one intersection per present child, added to ``counters``.
     """
 
     # Slots, not an instance dict: on CPython 3.11 an attribute read from a
@@ -343,6 +365,16 @@ class _Moves(dict):
         self.counters.intersections += 1
         return self.kept(node, int(np.bitwise_count(node.words & self.words).sum()))
 
+    @staticmethod
+    def _left_probability(est_l: float, est_r: float) -> float:
+        if math.isinf(est_l) and math.isinf(est_r):
+            return 0.5
+        if math.isinf(est_l):
+            return 1.0
+        if math.isinf(est_r):
+            return 0.0
+        return est_l / (est_l + est_r)
+
     def __missing__(self, key) -> tuple:
         level, j = key
         left, right = (level + 1, 2 * j), (level + 1, 2 * j + 1)
@@ -354,7 +386,7 @@ class _Moves(dict):
         elif est_l == est_r == self.threshold:
             move = (right, left), None
         else:
-            move = (right, left), BloomSampleTree._left_probability(est_l, est_r)
+            move = (right, left), self._left_probability(est_l, est_r)
         self[key] = move
         return move
 
@@ -415,7 +447,7 @@ class BloomSampleTree:
                 up = words[first]
                 words = np.bitwise_or(up, words[last], out=up)
                 js = parents[first]
-            nodes = BloomFilter._row_views(family, int(plan.namespace_size), words)
+            nodes = BloomFilter._row_views(family, plan.namespace_size, words)
             self.nodes.update(zip(zip(repeat(level), js.tolist()), nodes))
         return self
 
@@ -509,18 +541,6 @@ class BloomSampleTree:
         for start in range(0, len(items), step):
             yield items[start:start + step]
 
-    # traversal helpers -------------------------------------------------
-
-    @staticmethod
-    def _left_probability(est_l: float, est_r: float) -> float:
-        if math.isinf(est_l) and math.isinf(est_r):
-            return 0.5
-        if math.isinf(est_l):
-            return 1.0
-        if math.isinf(est_r):
-            return 0.0
-        return est_l / (est_l + est_r)
-
     # public query API --------------------------------------------------
 
     def sample(self, query: BloomFilter, threshold: float = DEFAULT_THRESHOLD,
@@ -542,15 +562,18 @@ class BloomSampleTree:
         between paths.
 
         Each path is one depth-first descent over a stack of ``(level, j)``
-        keys.  A parent pushes the children of its move, read from one
-        ``_Moves`` table per call, flipped when its coin sends the right one
-        first, so a dead end backtracks into the sibling.  A leaf yields a uniform pick
-        among its positives.  Each move and each leaf scan is computed once
-        per call, and counted in the counters of the path that computed it.
-        Without replacement, a drawn element leaves its leaf's positives,
-        and the first path after a draw that finds nothing, having walked
-        every reachable node, ends the call: the list may be short, and
-        ``rng`` advances no further.
+        keys, which starts as the root's move, the move of ``(-1, 0)``.  A
+        parent pushes the children of its move, read from one ``_Moves``
+        table per call, flipped when its coin sends the right one first, so
+        a dead end backtracks into the sibling.  A leaf yields a uniform
+        pick among its positives.  ``reconstruct`` prunes by the same table,
+        so a path reaches only leaves that it scans at the same threshold.
+        Each move and each leaf scan is computed once per call, and counted
+        in the counters of the path that computed it.  Without replacement,
+        a drawn element leaves its leaf's positives, and the first path
+        after a draw that finds nothing, having walked every reachable node,
+        ends the call: the list may be short, and ``rng`` advances no
+        further.
         """
         try:
             r = operator.index(r)
@@ -566,7 +589,7 @@ class BloomSampleTree:
         for _ in range(r):
             moves.counters = counters = OpCounters()
             element, visited = None, 0
-            stack = [(0, 0)] if (0, 0) in self.nodes else []
+            stack = list(moves[(-1, 0)][0])
             while stack:
                 key = stack.pop()
                 visited += 1

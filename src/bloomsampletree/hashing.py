@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import struct
 import hashlib
 from dataclasses import dataclass, field
@@ -32,11 +33,11 @@ _INT64_MAX = (1 << 63) - 1
 # Keeps preimage's int64 product a^-1 * (s - b) below 2^62.
 _LINEAR_MAX_M = 1 << 31
 
-# Below this many elements hash_many reduces mod m with ``%``, one hardware
-# divide per element; from it on, with the multiply-shift ``_reduce``, whose
-# extra passes cost 1.5-5 us per call on one-element arrays.  The two break
-# even between 512 and 1,024 elements (linear and murmur3, 2-core x86 VM,
-# numpy 2.4); on 65,536 elements the reduction is 1.3-1.6x faster.
+# Below this many elements ``_reduce`` reduces mod m with ``%``, one hardware
+# divide per element; from it on, with a multiply-shift, whose extra passes
+# cost 1.5-5 us per call on one-element arrays.  The two break even between
+# 512 and 1,024 elements (linear and murmur3, 2-core x86 VM, numpy 2.4); on
+# 65,536 elements the multiply-shift is 1.3-1.6x faster.
 _REDUCE_MIN_SIZE = 512
 
 # Below this many elements hash_many hashes the linear and murmur3 families
@@ -50,6 +51,22 @@ _MIX1 = 0xFF51AFD7ED558CCD
 _MIX2 = 0xC4CEB9FE1A85EC53
 # The mix's operands as numpy scalars, built once rather than on every call.
 _U33, _UMIX1, _UMIX2 = np.uint64(33), np.uint64(_MIX1), np.uint64(_MIX2)
+
+
+def _exact_int(v, what: str = "element") -> int:
+    """``v`` as a Python int: an integer, or a float with no fractional part;
+    anything else raises ValueError naming ``what``.  Elements and the sizes
+    M, m and k are all read by this rule."""
+    if type(v) is int:
+        return v
+    if isinstance(v, (float, np.floating)):
+        if not float(v).is_integer():
+            raise ValueError(f"{what} {v!r} is not an integer")
+        return int(v)
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"{what} {v!r} is not an integer") from None
 
 
 class FamilyKind(enum.IntEnum):
@@ -86,6 +103,8 @@ class HashFamily:
     namespace_limit: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "k", _exact_int(self.k, "k"))
+        object.__setattr__(self, "m", _exact_int(self.m, "m"))
         if not 1 <= self.k < 1 << 16:  # to_bytes packs k as u16
             raise ValueError(f"k must be in [1, 2^16), got {self.k}")
         if self.m < 2:
@@ -102,12 +121,18 @@ class HashFamily:
             limit = min((_INT64_MAX - b) // a + 1 for a, b in self.params)
         object.__setattr__(self, "namespace_limit", limit)
 
-    def check_namespace(self, namespace_size: int) -> None:
-        """Raise ValueError if ``namespace_size`` exceeds ``namespace_limit``."""
+    def check_namespace(self, namespace_size: int) -> int:
+        """``namespace_size`` as a Python int by the rule of ``_exact_int``;
+        ValueError if it is not an integer, is negative or exceeds
+        ``namespace_limit``."""
+        namespace_size = _exact_int(namespace_size, "namespace size")
+        if namespace_size < 0:
+            raise ValueError(f"namespace size must be >= 0, got {namespace_size}")
         if namespace_size > self.namespace_limit:
             raise ValueError(
                 f"namespace size {namespace_size} exceeds {self.namespace_limit}, "
                 f"the largest the {self.kind.name} family hashes exactly")
+        return namespace_size
 
     @property
     def invertible(self) -> bool:
@@ -147,9 +172,10 @@ def make_family(kind: FamilyKind, k: int, m: int, seed: int = 0) -> HashFamily:
 
     For the linear family, each a_i is drawn uniformly from the units
     mod m and b_i uniformly from [0, m).  For the seeded families,
-    function i gets ``seed ^ i * golden-ratio`` as its own seed.
+    function i gets ``seed ^ i * golden-ratio`` as its own seed.  k and m
+    are read by the rule of ``_exact_int``.
     """
-    kind = FamilyKind(kind)
+    kind, k, m = FamilyKind(kind), _exact_int(k, "k"), _exact_int(m, "m")
     if kind == FamilyKind.SIMPLE_LINEAR:
         rng = np.random.default_rng(seed)
         params = []
@@ -214,13 +240,16 @@ def _hash_ints(family: HashFamily, params, xs) -> list:
 
 
 def _reduce(h: np.ndarray, m) -> np.ndarray:
-    """``h mod m`` in place as ``h - (h // m) * m``, for h >= 0.
+    """``h mod m`` in place, for h >= 0: with ``%`` below
+    ``_REDUCE_MIN_SIZE`` elements, and from there on as ``h - (h // m) * m``.
 
     numpy divides by a scalar with a multiply and a shift (libdivide), so
-    this avoids the hardware divide that ``%`` runs per element.  It is
-    exact for h >= 0: then q*m <= h, so nothing overflows and the result
-    lies in [0, m).
+    the second form avoids the hardware divide that ``%`` runs per element.
+    It is exact for h >= 0: then q*m <= h, so nothing overflows and the
+    result lies in [0, m).
     """
+    if h.size < _REDUCE_MIN_SIZE:
+        return np.remainder(h, m, out=h)
     q = h // m
     q *= m
     h -= q
@@ -240,18 +269,13 @@ def hash_many(family: HashFamily, i: int, xs: np.ndarray) -> np.ndarray:
         out = np.array(_hash_ints(family, family.params[i:i + 1], xs.ravel().tolist()),
                        dtype=np.int64)
         return out if xs.ndim == 1 else out.reshape(xs.shape)
-    small = xs.size < _REDUCE_MIN_SIZE
     if family.kind == FamilyKind.SIMPLE_LINEAR:
         a, b = family.params[i]
-        if small:
-            return (a * xs + b) % family.m
         # namespace_limit keeps a*x + b in [0, 2^63)
         h = a * xs
         h += b
         return _reduce(h, family.m)
     h = _murmur_mix(xs.astype(np.uint64), family.params[i])
-    if small:
-        return (h % np.uint64(family.m)).view(np.int64)
     return _reduce(h, np.uint64(family.m)).view(np.int64)
 
 
@@ -267,11 +291,9 @@ def _hash_ranges(family: HashFamily, i: int, pieces) -> np.ndarray:
     into one constant per cut: where x >> 33 is the same for every x,
     ``(x ^ s) ^ ((x ^ s) >> 33) == x ^ (s ^ (s >> 33) ^ (x >> 33))``, as a
     shift distributes over xor.  Both then reduce by the unsigned
-    multiply-shift ``_reduce``.  The md5 family, and calls below
-    ``_REDUCE_MIN_SIZE`` elements, go through ``hash_many``.
+    ``_reduce``.  The md5 family goes through ``hash_many``.
     """
-    if (family.kind == FamilyKind.MD5
-            or sum(hi - lo for lo, hi in pieces) < _REDUCE_MIN_SIZE):
+    if family.kind == FamilyKind.MD5:
         return hash_many(family, i, np.concatenate(
             [np.arange(lo, hi, dtype=np.int64) for lo, hi in pieces]))
     if family.kind == FamilyKind.SIMPLE_LINEAR:
@@ -309,9 +331,7 @@ def preimage(family: HashFamily, i: int, s, namespace_size: int) -> np.ndarray:
     s = np.atleast_1d(np.asarray(s, dtype=np.int64))
     if s.size and (s.min() < 0 or s.max() >= family.m):
         raise ValueError(f"bit index out of range [0, {family.m})")
-    family.check_namespace(namespace_size)
-    if namespace_size <= 0:
-        return np.empty(0, dtype=np.int64)
+    namespace_size = family.check_namespace(namespace_size)
     a, b = family.params[i]
     x0 = np.sort(pow(a, -1, family.m) * (s - b) % family.m)
     xs = (np.arange(0, namespace_size, family.m, dtype=np.int64)[:, None] + x0).ravel()

@@ -277,6 +277,17 @@ class TestNamespaceLimit:
         with pytest.raises(ValueError):
             BloomFilter(fam, 10**13 + 10**6)
 
+    @pytest.mark.parametrize("M, match", [(-5, ">= 0"), (1.5, "is not an integer")])
+    def test_namespace_that_is_no_size_rejected(self, M, match):
+        with pytest.raises(ValueError, match=match):
+            BloomFilter(make_family(FamilyKind.MURMUR3, 3, 600), M)
+
+    def test_whole_float_namespace_is_an_int(self):
+        flt = BloomFilter(make_family(FamilyKind.MURMUR3, 3, 600), 2.0)
+        assert flt.namespace_size == 2 and type(flt.namespace_size) is int
+        flt.insert(1)
+        assert BloomFilter.from_bytes(flt.to_bytes())[0] == flt
+
     def test_limit_is_inclusive(self):
         for kind in FamilyKind:
             fam = make_family(kind, 2, 101, seed=1)

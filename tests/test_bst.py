@@ -201,7 +201,7 @@ class TestSample:
         tree, plan, fam = small_tree(M=16, leaf_ratio=2.0)
         out = tree.sample(BloomFilter(fam, 16), rng=np.random.default_rng(0))
         assert out.element is None
-        assert out.counters.intersections == 2
+        assert out.counters.intersections == 1  # the root's AND is empty
 
     def test_element_always_positive(self):
         tree, plan, fam = small_tree(M=2000, m=600, leaf_ratio=8.0)
@@ -1148,10 +1148,10 @@ def reference_sample_many(tree, query, r, with_replacement=True,
                           threshold=bst.DEFAULT_THRESHOLD, rng=None):
     """Recursive depth-first sampler: at a node both of whose children
     survive, one coin picks the first (left on an exact tie at the
-    threshold), and a dead end backtracks into the second.  A child is
-    pruned when it is absent, its AND is empty or its estimate is below the
-    threshold.  Child estimates and leaf scans are shared by the r paths and
-    counted by the path that computes them."""
+    threshold), and a dead end backtracks into the second.  A node, the
+    root included, is pruned when it is absent, its AND is empty or its
+    estimate is below the threshold.  Estimates and leaf scans are shared
+    by the r paths and counted by the path that computes them."""
     plan, t1 = tree.plan, query.popcount()
     est_cache, leaf_cache = {}, {}
     used = None if with_replacement else {}
@@ -1227,7 +1227,8 @@ def reference_sample_many(tree, query, r, with_replacement=True,
     outcomes = []
     for _ in range(r):
         path = {"counters": OpCounters(), "blocked": False}
-        element = visit((0, 0), path) if (0, 0) in tree.nodes else None
+        root_pruned, _ = child_estimate((0, 0), path["counters"])
+        element = None if root_pruned else visit((0, 0), path)
         if element is None and path["blocked"]:
             continue
         outcomes.append(bst.SampleOutcome(element, path["counters"]))
@@ -1310,13 +1311,13 @@ class TestIterativeSampler:
         query = build_filter(tree.family, 4096, np.arange(4096))
         assert query.popcount() == query.m
         pairs = set()
-        real = BloomSampleTree._left_probability
+        real = bst._Moves._left_probability
 
         def spy(est_l, est_r):
             pairs.add((math.isinf(est_l), math.isinf(est_r)))
             return real(est_l, est_r)
 
-        monkeypatch.setattr(BloomSampleTree, "_left_probability", staticmethod(spy))
+        monkeypatch.setattr(bst._Moves, "_left_probability", staticmethod(spy))
         tree.sample_many(query, 200, True, 0.0, np.random.default_rng(1))
         assert pairs == {(True, True), (True, False), (False, True), (False, False)}
 
@@ -1341,13 +1342,13 @@ class TestIterativeSampler:
                           and not est_l == est_r == threshold)
         unspied = tree.sample_many(query, 300, True, threshold, np.random.default_rng(4))
         calls = []
-        real = BloomSampleTree._left_probability
+        real = bst._Moves._left_probability
 
         def spy(est_l, est_r):
             calls.append((est_l, est_r))
             return real(est_l, est_r)
 
-        monkeypatch.setattr(BloomSampleTree, "_left_probability", staticmethod(spy))
+        monkeypatch.setattr(bst._Moves, "_left_probability", staticmethod(spy))
         spied = tree.sample_many(query, 300, True, threshold, np.random.default_rng(4))
         assert 0 < len(calls) <= coins
         assert [o.element for o in spied] == [o.element for o in unspied]
@@ -1418,14 +1419,7 @@ class TestMoveTable:
             scanned.clear()
             tree.reconstruct(query, threshold)
             table = bst._Moves(tree, query, threshold)
-            # The root exception: reconstruct tests the root and sample_many
-            # never does (the open FOUND note in CHANGES.md on the sampler's
-            # root), so the walk starts from the root only where reconstruct
-            # keeps it.
-            root = tree.nodes.get((0, 0))
-            root_kept = root is not None and table.kept(
-                root, int(np.bitwise_count(root.words & query.words).sum())) is not None
-            stack, reached = ([(0, 0)] if root_kept else []), []
+            stack, reached = list(table[(-1, 0)][0]), []  # the root's move
             while stack:
                 level, j = stack.pop()
                 if level == tree.plan.depth:
@@ -1437,6 +1431,42 @@ class TestMoveTable:
             n_cases += 1
             n_reaching += bool(reached)
         assert n_cases == 35 and n_reaching > 25
+
+
+class TestSampleInsideReconstruct:
+    """One rule covers every node, the root included, so every element that
+    ``sample`` and ``sample_many`` draw lies in ``reconstruct`` at the same
+    threshold."""
+
+    @staticmethod
+    def _check(tree, query, seed):
+        for threshold in (0.0, 0.5):
+            support = set(tree.reconstruct(query, threshold)[0].tolist())
+            drawn = [tree.sample(query, threshold, np.random.default_rng(seed)).element]
+            for with_replacement in (True, False):
+                drawn += [o.element for o in tree.sample_many(
+                    query, 50, with_replacement, threshold, np.random.default_rng(seed))]
+            assert {x for x in drawn if x is not None} <= support, (threshold, seed)
+
+    def test_depth_zero_root_that_shares_no_bit(self):
+        tree, plan, fam = small_tree(M=100, m=4000, occupied=[3], leaf_ratio=240.0)
+        query = build_filter(fam, 100, [0])
+        assert plan.depth == 0 and not (tree.nodes[(0, 0)].words & query.words).any()
+        assert tree.reconstruct(query, 0.0)[0].tolist() == []
+        assert tree.sample(query, 0.0, np.random.default_rng(0)).element is None
+        self._check(tree, query, 0)
+
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    @pytest.mark.parametrize("cost_ratio, depth", [(240.0, 0), (20.0, 4)])
+    def test_random_pruned_trees(self, kind, cost_ratio, depth):
+        M = 2000
+        for seed in range(25):
+            rng = np.random.default_rng(seed)
+            tree, plan, fam = small_tree(M=M, m=300, seed=seed, leaf_ratio=cost_ratio,
+                                         family_kind=kind,
+                                         occupied=rng.choice(M, 40, replace=False))
+            assert plan.depth == depth
+            self._check(tree, build_filter(fam, M, rng.choice(M, 10, replace=False)), seed)
 
 
 class TestNegativeThreshold:
@@ -1475,6 +1505,40 @@ class TestPlannerRejectsWhatItCannotPlan:
             plan_from_accuracy(0.9, 1000, 10**5, k, 240.0)
         with pytest.raises(PlanError, match="k must be"):
             plan_with_m(10**6, 10**7, k, 240.0)
+
+    def test_whole_float_sizes_plan_as_ints(self):
+        plan = plan_from_accuracy(0.9, 1000, 1e6, 3, 240.0)
+        assert plan == plan_from_accuracy(0.9, 1000, 10**6, 3, 240.0)
+        assert (plan.namespace_size, plan.leaf_size) == (10**6, 1954)
+        plan = plan_with_m(600.0, 2e4, np.float64(3.0), 240.0)
+        assert plan == plan_with_m(600, 20_000, 3, 240.0)
+        assert all(type(getattr(plan, f)) is int
+                   for f in ("namespace_size", "m", "k", "depth", "leaf_size"))
+        tree = BloomSampleTree.build_full(plan, make_family(FamilyKind.MURMUR3, 3, 600))
+        assert tree.node_count == plan.full_node_count
+
+    def test_plan_built_directly_holds_ints(self):
+        plan = TreePlan(1e4, 600.0, 3.0, 2.0, 2500.0, 1.0, 240.0)
+        assert plan == TreePlan(10_000, 600, 3, 2, 2500, 1.0, 240.0)
+        assert BloomSampleTree.build_full(
+            plan, make_family(FamilyKind.MURMUR3, 3, 600)).node_count == 7
+        with pytest.raises(ValueError, match="leaf_size 2500.5 is not an integer"):
+            TreePlan(10_000, 600, 3, 2, 2500.5, 1.0, 240.0)
+
+    @pytest.mark.parametrize("k", [3.5, "3"])
+    def test_k_that_is_no_integer(self, k):
+        with pytest.raises(PlanError, match="k .* is not an integer"):
+            plan_from_accuracy(0.9, 1000, 10**6, k, 240.0)
+        with pytest.raises(PlanError, match="k .* is not an integer"):
+            plan_with_m(1000, 10**5, k, 240.0)
+
+    def test_m_and_namespace_that_are_no_integers(self):
+        with pytest.raises(PlanError, match="m 600.5 is not an integer"):
+            plan_with_m(600.5, 10**5, 3, 240.0)
+        with pytest.raises(PlanError, match="namespace size 100000.5 is not an integer"):
+            plan_with_m(600, 100_000.5, 3, 240.0)
+        with pytest.raises(PlanError, match="namespace size 100000.5 is not an integer"):
+            plan_from_accuracy(0.9, 1000, 100_000.5, 3, 240.0)
 
     def test_k_below_the_u16_limit_plans(self):
         assert plan_with_m(8 * (2**16 - 1), 10**7, 2**16 - 1, 240.0).k == 2**16 - 1

@@ -11,6 +11,7 @@ from bloomsampletree import baselines
 from bloomsampletree.bloom import BloomFilter, build_filter
 from bloomsampletree.bst import BloomSampleTree, plan_from_accuracy
 from bloomsampletree.cli import DEFAULT_SEED, build_parser, main
+from bloomsampletree.estimate import population_estimate
 from bloomsampletree.evalkit import chi_squared_uniformity
 from bloomsampletree.hashing import FamilyKind, make_family
 
@@ -419,6 +420,20 @@ def test_chi2_on_a_saturated_query_file_asks_for_rounds(capsys, small_tree_file,
     assert "saturated" in captured.err and "-T" in captured.err
     assert main(["chi2", "--tree", str(small_tree_file), "--query", str(query),
                  "-T", "50"]) == 0
+
+
+def test_chi2_on_a_query_file_takes_130_times_its_estimated_population(capsys, tmp_path):
+    tree_file, query_file = tmp_path / "t.bstr", tmp_path / "q.bflt"
+    assert main(["build", "-M", "20000", "--force-m", "1000", "--family", "murmur3",
+                 "--out", str(tree_file)]) == 0
+    capsys.readouterr()
+    tree = BloomSampleTree.load(tree_file)
+    query = build_filter(tree.family, 20_000, range(0, 20_000, 500))
+    query.save(query_file)
+    code, out = run_cli(capsys, "chi2", "--tree", tree_file, "--query", query_file)
+    assert code == 0
+    T = int(out.splitlines()[0].removeprefix("T "))
+    assert T == 130 * max(2, round(population_estimate(query))) == 130 * 38
 
 
 class TestPlanRejections:

@@ -324,10 +324,10 @@ class TestRunSweep:
                     shapes=["uniform", "clustered"], trials=5, master_seed=7),
     ]
     PINNED_ROWS = [
-        "bst,100000,100,0.9,simple,uniform,14.4,1563.0,8.2,5",
-        "bst,100000,100,0.9,simple,clustered,12.0,1563.0,7.0,5",
-        "bst,100000,300,0.9,simple,uniform,30.0,0.0,15.0,5",
-        "bst,100000,300,0.9,simple,clustered,12.0,1563.0,7.0,5",
+        "bst,100000,100,0.9,simple,uniform,15.4,1563.0,8.2,5",
+        "bst,100000,100,0.9,simple,clustered,13.0,1563.0,7.0,5",
+        "bst,100000,300,0.9,simple,uniform,31.0,0.0,15.0,5",
+        "bst,100000,300,0.9,simple,clustered,13.0,1563.0,7.0,5",
         "da,100000,100,0.9,simple,uniform,0.0,100000.0,0.0,5",
         "da,100000,100,0.9,simple,clustered,0.0,100000.0,0.0,5",
         "da,100000,300,0.9,simple,uniform,0.0,100000.0,0.0,5",
@@ -336,10 +336,10 @@ class TestRunSweep:
         "hi,100000,100,0.9,simple,clustered,0.0,4781.0,0.0,5",
         "hi,100000,300,0.9,simple,uniform,0.0,7025.0,0.0,5",
         "hi,100000,300,0.9,simple,clustered,0.0,7035.0,0.0,5",
-        "bst,100000,150,0.8,murmur3,uniform,12.0,1875.6,7.2,5",
-        "bst,100000,150,0.8,murmur3,clustered,13.6,2188.2,8.2,5",
-        "bst,100000,150,0.8,md5,uniform,12.0,1556.6,7.0,5",
-        "bst,100000,150,0.8,md5,clustered,16.8,2188.2,9.8,5",
+        "bst,100000,150,0.8,murmur3,uniform,13.0,1875.6,7.2,5",
+        "bst,100000,150,0.8,murmur3,clustered,14.6,2188.2,8.2,5",
+        "bst,100000,150,0.8,md5,uniform,13.0,1556.6,7.0,5",
+        "bst,100000,150,0.8,md5,clustered,17.8,2188.2,9.8,5",
         "da,100000,150,0.8,murmur3,uniform,0.0,100000.0,0.0,5",
         "da,100000,150,0.8,murmur3,clustered,0.0,100000.0,0.0,5",
         "da,100000,150,0.8,md5,uniform,0.0,100000.0,0.0,5",

@@ -246,7 +246,7 @@ class TestExactNamespace:
 
 
 class TestMultiplyShiftReduction:
-    """From ``_REDUCE_MIN_SIZE`` elements on, hash_many reduces mod m as
+    """From ``_REDUCE_MIN_SIZE`` elements on, ``_reduce`` reduces mod m as
     h - (h // m) * m; below it, with ``%``.  Both must equal Python integers."""
 
     SIZES = (hashing._REDUCE_MIN_SIZE - 1, hashing._REDUCE_MIN_SIZE, 1 << 16)
@@ -372,6 +372,36 @@ class TestKFitsTheDescriptor:
         assert back == fam and offset == len(fam.to_bytes())
 
 
+class TestSizesReadAsElements:
+    """k, m and the namespace size are read by the rule elements use."""
+
+    def test_whole_floats_are_ints(self):
+        fam = HashFamily(FamilyKind.MURMUR3, 2.0, np.float64(600.0), (1, 2))
+        assert (fam.k, fam.m) == (2, 600) and type(fam.k) is type(fam.m) is int
+        assert fam == HashFamily(FamilyKind.MURMUR3, 2, 600, (1, 2))
+        assert HashFamily.from_bytes(fam.to_bytes())[0] == fam
+        M = fam.check_namespace(1e6)
+        assert M == 10**6 and type(M) is int
+
+    @pytest.mark.parametrize("kind", list(FamilyKind))
+    def test_make_family_reads_whole_floats(self, kind):
+        assert make_family(kind, 2.0, 601.0, seed=3) == make_family(kind, 2, 601, seed=3)
+
+    @pytest.mark.parametrize("k, m", [(2.5, 600), (2, 600.5), ("2", 600), (2, None)])
+    def test_fractions_and_non_numbers_raise(self, k, m):
+        with pytest.raises(ValueError, match="is not an integer"):
+            HashFamily(FamilyKind.MURMUR3, k, m, (1, 2))
+        for kind in FamilyKind:
+            with pytest.raises(ValueError, match="is not an integer"):
+                make_family(kind, k, m)
+
+    @pytest.mark.parametrize("M, match", [(1.5, "is not an integer"), (-5, ">= 0"),
+                                          (float("inf"), "is not an integer")])
+    def test_namespace_that_is_no_size_raises(self, M, match):
+        with pytest.raises(ValueError, match=match):
+            make_family(FamilyKind.MURMUR3, 2, 600).check_namespace(M)
+
+
 class TestHashRanges:
     """``_hash_ranges`` hashes the elements of [lo, hi) pieces from their
     bounds; it must equal ``hash_many`` over the concatenated ``arange``s."""
@@ -432,6 +462,7 @@ class TestHashRanges:
         top = fam.namespace_limit
         assert top > 3 * block
         self._check(fam, [(block - 700, block + 900)])
+        self._check(fam, [(block - 3, block + 4)])  # below _REDUCE_MIN_SIZE
         self._check(fam, [(5, 40), (block + 3, block + 10), (2 * block - 600, 2 * block + 1),
                           (3 * block - 1, 3 * block + 300)])
         self._check(fam, [(2 * block - 2, 2 * block + 600), (top - 800, top)])
