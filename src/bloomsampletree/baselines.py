@@ -38,7 +38,7 @@ def _draw(hits: np.ndarray, counters: OpCounters, rng) -> SampleOutcome:
     cost ``counters``; None if there are none."""
     if hits.size == 0:
         return SampleOutcome(None, counters)
-    rng = np.random.default_rng() if rng is None else rng
+    rng = np.random.default_rng(rng)
     return SampleOutcome(int(hits[rng.integers(hits.size)]), counters)
 
 

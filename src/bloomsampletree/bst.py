@@ -82,7 +82,12 @@ class PlanError(ValueError):
 
 @dataclass
 class OpCounters:
-    """Per-run operation tallies; the primary cost metric."""
+    """Per-run operation tallies; the primary cost metric.
+
+    ``intersections`` counts one per present node whose AND with the query
+    a traversal needs, whether or not an AND runs: a saturated child, whose
+    popcount is m, takes the query's popcount as its AND's without one.
+    """
 
     intersections: int = 0
     membership_queries: int = 0
@@ -334,14 +339,21 @@ class _Moves(dict):
     the probability that the left one goes first; None where no coin is
     drawn (one kept child, or an exact tie at the threshold).  The root's
     move is the move of ``(-1, 0)``: its children are the root ``(0, 0)``,
-    if kept, and ``(0, 1)``, which no tree holds.  Working out a move costs
-    one intersection per present child, added to ``counters``.
+    if kept, and ``(0, 1)``, which no tree holds.
+
+    Working out a move counts one intersection per present child in
+    ``counters``, and takes one pass: each present child whose popcount is
+    below m is ANDed with the query into a row of one scratch buffer, made
+    once per table, and the rows are popcounted together.  A saturated
+    child, whose popcount is m, takes the query's popcount ``t1`` with no
+    AND, since its AND with the query is the query itself.
     """
 
     # Slots, not an instance dict: on CPython 3.11 an attribute read from a
     # dict subclass's instance dict is not specialised, and that made one
     # ``sample`` call on the bench tree about 6 us (4%) slower.
-    __slots__ = ("threshold", "nodes", "words", "t1", "m", "k", "counters")
+    __slots__ = ("threshold", "nodes", "words", "t1", "m", "k", "counters",
+                 "count_dtype", "_buffers")
 
     def __init__(self, tree: "BloomSampleTree", query: BloomFilter, threshold: float):
         self.threshold = _check_threshold(threshold)
@@ -350,6 +362,22 @@ class _Moves(dict):
         check_query_namespace(query, tree.plan.namespace_size)
         self.nodes, self.words, self.t1 = tree.nodes, query.words, query.popcount()
         self.m, self.k, self.counters = tree.plan.m, tree.plan.k, OpCounters()
+        n_words = self.words.size
+        # a row's popcount is at most 64 * n_words, so a uint32 sum is exact
+        # where that fits; numpy's default uint64 sum of the uint8 counts
+        # took 2.5x as long on 512 rows of 952 words
+        self.count_dtype = np.uint32 if 64 * n_words < 1 << 32 else np.uint64
+        ands = np.empty((2, n_words), dtype=np.uint64)
+        counts = np.empty((2, n_words), dtype=np.uint8)
+        # by the number of children to AND, less one: the rows to count, their
+        # counts, and the rows of the left and the right child
+        self._buffers = ((ands[:1], counts[:1], ands[0], ands[0]),
+                         (ands, counts, ands[0], ands[1]))
+
+    def popcounts(self, rows: np.ndarray, out: Optional[np.ndarray] = None) -> list:
+        """The popcount of each row of the uint64 matrix ``rows``, counted
+        into the uint8 matrix ``out`` of the same shape, or a new one."""
+        return np.bitwise_count(rows, out=out).sum(axis=1, dtype=self.count_dtype).tolist()
 
     def kept(self, node: BloomFilter, t_and: int) -> Optional[float]:
         """The node's estimate from its AND's popcount ``t_and``, None if pruned."""
@@ -357,13 +385,6 @@ class _Moves(dict):
             return None
         est = intersection_estimate_counts(self.m, self.k, node.popcount(), self.t1, t_and)
         return None if est < self.threshold else est
-
-    def _child(self, key) -> Optional[float]:
-        node = self.nodes.get(key)
-        if node is None:
-            return None
-        self.counters.intersections += 1
-        return self.kept(node, int(np.bitwise_count(node.words & self.words).sum()))
 
     @staticmethod
     def _left_probability(est_l: float, est_r: float) -> float:
@@ -378,7 +399,24 @@ class _Moves(dict):
     def __missing__(self, key) -> tuple:
         level, j = key
         left, right = (level + 1, 2 * j), (level + 1, 2 * j + 1)
-        est_l, est_r = self._child(left), self._child(right)
+        node_l, node_r = self.nodes.get(left), self.nodes.get(right)
+        self.counters.intersections += (node_l is not None) + (node_r is not None)
+        and_l = node_l is not None and node_l.popcount() < self.m
+        and_r = node_r is not None and node_r.popcount() < self.m
+        t_l = t_r = self.t1
+        if and_l or and_r:
+            rows, counts, row_l, row_r = self._buffers[and_l + and_r - 1]
+            if and_l:
+                np.bitwise_and(node_l.words, self.words, out=row_l)
+            if and_r:
+                np.bitwise_and(node_r.words, self.words, out=row_r)
+            t_ands = self.popcounts(rows, counts)
+            if and_l:
+                t_l = t_ands[0]
+            if and_r:
+                t_r = t_ands[-1]
+        est_l = None if node_l is None else self.kept(node_l, t_l)
+        est_r = None if node_r is None else self.kept(node_r, t_r)
         if est_r is None:
             move = ((), None) if est_l is None else ((left,), None)
         elif est_l is None:
@@ -582,7 +620,7 @@ class BloomSampleTree:
         if r < 1:
             raise ValueError("r must be >= 1")
         moves = _Moves(self, query, threshold)
-        rng = np.random.default_rng() if rng is None else rng
+        rng = np.random.default_rng(rng)
         depth, width, M = self.plan.depth, self.plan.leaf_size, self.plan.namespace_size
         hits_of: dict = {}  # leaf j -> membership-positive elements of its range not yet drawn
         outcomes = []
@@ -649,10 +687,6 @@ class BloomSampleTree:
         """
         moves, counters, plan = _Moves(self, query, threshold), OpCounters(), self.plan
         prefix = _PREFIX_WORDS if query.words[:_PREFIX_WORDS].any() else 0
-        # a row's popcount is at most 64 * n_words, so a uint32 sum is exact
-        # where that fits; numpy's default uint64 sum of the uint8 counts
-        # took 2.5x as long on 512 rows of 952 words
-        count_dtype = np.uint32 if 64 * query.words.size < 1 << 32 else np.uint64
         frontier = [0]
         for level in range(plan.depth + 1):
             if level:
@@ -674,7 +708,7 @@ class BloomSampleTree:
                     continue
                 stack = _gather([node.words for _, node in batch])
                 np.bitwise_and(stack, query.words, out=stack)
-                t_and = np.bitwise_count(stack).sum(axis=1, dtype=count_dtype).tolist()
+                t_and = moves.popcounts(stack)
                 frontier += [j for (j, node), t in zip(batch, t_and)
                              if moves.kept(node, t) is not None]
         M, width = plan.namespace_size, plan.leaf_size

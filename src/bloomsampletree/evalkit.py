@@ -44,7 +44,7 @@ def gen_uniform(namespace_size: int, n: int, rng=None) -> np.ndarray:
     """n distinct elements of [0, M), uniform without replacement."""
     if not 0 <= n <= namespace_size:
         raise ValueError(f"need 0 <= n <= M, got n = {n} and M = {namespace_size}")
-    rng = np.random.default_rng() if rng is None else rng
+    rng = np.random.default_rng(rng)
     if n == namespace_size:
         return np.arange(namespace_size, dtype=np.int64)
     if n * 20 >= namespace_size:
@@ -120,7 +120,7 @@ class ClusteredSampler:
         if not 0.0 <= p < 100.0:
             raise ValueError("p is a percentage in [0, 100)")
         self.q = p / 100.0
-        self.rng = np.random.default_rng() if rng is None else rng
+        self.rng = np.random.default_rng(rng)
         self.scale = 1.0
         # raw[i] mirrors the Fenwick's value i; pdf(i) = raw[i] * scale
         self.raw = np.full(namespace_size, 1.0 / namespace_size)
@@ -296,7 +296,7 @@ def calibrate_cost_ratio(m: int, k: int, trials: int = 50, rng=None) -> float:
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng() if rng is None else rng
+    rng = np.random.default_rng(rng)
     n_words = (m + 63) // 64
     a = rng.integers(0, 1 << 63, size=n_words).astype(np.uint64)
     b = rng.integers(0, 1 << 63, size=n_words).astype(np.uint64)

@@ -31,6 +31,12 @@ class TestDaSample:
         out = da_sample(200, q, rng=np.random.default_rng(1))
         assert out.element == 5
 
+    def test_integer_seed_as_rng(self):
+        fam = make_family(FamilyKind.MURMUR3, 3, 10**4, seed=1)
+        q = build_filter(fam, 2000, np.arange(0, 2000, 7))
+        for seed in range(5):
+            assert da_sample(2000, q, rng=seed) == da_sample(2000, q, np.random.default_rng(seed))
+
     @pytest.mark.parametrize("n", [16, 100])
     def test_reservoir_uniformity(self, n):
         # chi-squared over the positives, T = 130n draws, significance 0.08

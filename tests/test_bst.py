@@ -220,6 +220,17 @@ class TestSample:
         b = tree.sample(q, rng=np.random.default_rng(7))
         assert a.element == b.element and a.counters == b.counters
 
+    def test_integer_seed_as_rng(self):
+        tree, plan, fam = small_tree(M=2000, m=600, leaf_ratio=8.0)
+        q = build_filter(fam, 2000, [17, 600, 1500])
+        for seed in range(5):
+            a = tree.sample(q, rng=seed)
+            b = tree.sample(q, rng=np.random.default_rng(seed))
+            assert a.element == b.element and a.counters == b.counters
+        many = tree.sample_many(q, 20, rng=5)
+        assert [(o.element, o.counters) for o in many] == \
+            [(o.element, o.counters) for o in tree.sample_many(q, 20, rng=np.random.default_rng(5))]
+
     def test_tie_at_threshold_descends_left(self):
         # symmetric singleton halves give exactly equal child estimates
         tree, plan, fam = small_tree(M=8, m=4096, leaf_ratio=2.0)
@@ -1431,6 +1442,103 @@ class TestMoveTable:
             n_cases += 1
             n_reaching += bool(reached)
         assert n_cases == 35 and n_reaching > 25
+
+
+def _rule_moves(tree, query, threshold):
+    """Each parent's move by the traversal rule, with every child's AND
+    worked out in full, and the number of present children."""
+    def kept(key):
+        node = tree.nodes.get(key)
+        if node is None or not (node.words & query.words).any():
+            return None
+        est = _estimate(node, query)
+        return None if est < threshold else est
+
+    moves, present = {}, 0
+    for level, j in (key for key in tree.nodes if key[0] < tree.plan.depth):
+        left, right = (level + 1, 2 * j), (level + 1, 2 * j + 1)
+        present += (left in tree.nodes) + (right in tree.nodes)
+        est_l, est_r = kept(left), kept(right)
+        children = tuple(key for key, est in ((right, est_r), (left, est_l)) if est is not None)
+        if len(children) < 2 or est_l == est_r == threshold:
+            p = None
+        elif math.isinf(est_l) or math.isinf(est_r):
+            p = 0.5 if est_l == est_r else float(math.isinf(est_l))
+        else:
+            p = est_l / (est_l + est_r)
+        moves[(level, j)] = children, p
+    return moves, present
+
+
+def _buffer_path_cases():
+    """Trees and queries whose rows the move table's scratch buffer must
+    handle: read-only node rows, copy-on-write rows, read-only strided query
+    words, parents with one present child, and saturated top levels."""
+    M = 40_000
+    plan = plan_from_accuracy(0.9, 200, M, 3, 240.0)
+    fam = make_family(FamilyKind.MURMUR3, 3, plan.m, seed=5)
+    rng = np.random.default_rng(17)
+    occ = rng.choice(M, 170, replace=False)
+    members, occ = occ[:150], occ[140:]  # ten members in the pruned trees
+    yield "loaded", BloomSampleTree.from_bytes(BloomSampleTree.build_full(plan, fam).to_bytes()), \
+        build_filter(fam, M, members)
+    inserted = BloomSampleTree.from_bytes(BloomSampleTree.build_pruned(plan, fam, occ).to_bytes())
+    for x in rng.choice(M, 10, replace=False).tolist():
+        inserted.insert(x)
+    yield "pruned-inserted", inserted, build_filter(fam, M, members)
+    words = np.repeat(build_filter(fam, M, members).words, 2)[::2]
+    words.flags.writeable = False
+    yield "read-only-query", BloomSampleTree.build_pruned(plan, fam, occ), \
+        BloomFilter(fam, M, words=words)
+    # m = 2,000 over 40,000 elements: the top levels hold every bit, the
+    # leaves of 79 elements about 11% of them
+    plan = plan_with_m(2000, M, 3, 20.0)
+    fam = make_family(FamilyKind.MURMUR3, 3, plan.m, seed=1)
+    saturated = BloomSampleTree.build_full(plan, fam)
+    yield "saturated-top", saturated, build_filter(fam, M, rng.choice(M, 100, replace=False))
+    # a saturated child's estimate reads its AND only to see it is empty
+    yield "saturated-top-empty-query", saturated, BloomFilter(fam, M)
+
+
+class TestMoveTableOnBufferRows:
+    """A move computed through the scratch buffer, or with a saturated
+    child's AND taken as the query, equals the rule with full ANDs, and
+    writes neither the nodes nor the query."""
+
+    @pytest.mark.parametrize("case", ["loaded", "pruned-inserted", "read-only-query",
+                                      "saturated-top", "saturated-top-empty-query"])
+    def test_moves_equal_the_rule(self, case):
+        _, tree, query = next(c for c in _buffer_path_cases() if c[0] == case)
+        nodes_before = {key: node.words.copy() for key, node in tree.nodes.items()}
+        query_before = query.words.copy()
+        for threshold in _thresholds(tree, query):
+            expected, present = _rule_moves(tree, query, threshold)
+            table = bst._Moves(tree, query, threshold)
+            for key in expected:
+                table[key]
+            assert table == expected, (case, threshold)
+            assert table.counters.intersections == present, (case, threshold)
+        assert all(np.array_equal(tree.nodes[key].words, words)
+                   for key, words in nodes_before.items())
+        assert np.array_equal(query.words, query_before)
+
+    def test_cases_reach_every_row_kind(self):
+        cases = {name: (tree, query) for name, tree, query in _buffer_path_cases()}
+        tree, _ = cases["loaded"]
+        assert not any(node.words.flags.writeable for node in tree.nodes.values())
+        tree, _ = cases["pruned-inserted"]
+        assert 0 < sum(node.words.flags.writeable for node in tree.nodes.values()) \
+            < tree.node_count
+        only_children = [key for key in tree.nodes if key[0] < tree.plan.depth
+                         and ((key[0] + 1, 2 * key[1]) in tree.nodes)
+                         != ((key[0] + 1, 2 * key[1] + 1) in tree.nodes)]
+        assert only_children
+        _, query = cases["read-only-query"]
+        assert not query.words.flags.writeable and query.words.strides == (16,)
+        tree, _ = cases["saturated-top"]
+        saturated = {level for (level, _), node in tree.nodes.items()
+                     if node.popcount() == tree.plan.m}
+        assert {0, 1, 2} <= saturated and tree.plan.depth not in saturated
 
 
 class TestSampleInsideReconstruct:

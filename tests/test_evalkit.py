@@ -44,6 +44,10 @@ class TestGenUniform:
         with pytest.raises(ValueError, match="n = -1"):
             gen_uniform(10, -1, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("n", [10, 90])  # the rejection and the permutation draw
+    def test_integer_seed_as_rng(self, n):
+        assert np.array_equal(gen_uniform(100, n, 4), gen_uniform(100, n, np.random.default_rng(4)))
+
     def test_distinct_and_in_range(self):
         xs = gen_uniform(10**6, 5000, np.random.default_rng(1))
         assert len(np.unique(xs)) == 5000
@@ -68,6 +72,10 @@ class TestGenClustered:
     def test_too_many_rejected(self):
         with pytest.raises(ValueError):
             gen_clustered(10, 11, 10.0, np.random.default_rng(0))
+
+    def test_integer_seed_as_rng(self):
+        assert np.array_equal(gen_clustered(500, 40, 10.0, 6),
+                              gen_clustered(500, 40, 10.0, np.random.default_rng(6)))
 
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError, match="n = -1"):
@@ -200,6 +208,9 @@ class TestCalibrateCostRatio:
     def test_zero_trials_rejected(self):
         with pytest.raises(ValueError):
             calibrate_cost_ratio(10**4, 3, trials=0)
+
+    def test_integer_seed_as_rng(self):
+        assert calibrate_cost_ratio(10**4, 3, trials=5, rng=9) > 0
 
 
 class TestSweepConfig:
