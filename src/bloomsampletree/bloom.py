@@ -74,31 +74,30 @@ def check_element(x, namespace_size: int) -> int:
     return x
 
 
-def filter_rows(family: HashFamily, arrays: list,
+def filter_rows(family: HashFamily, xs: np.ndarray, counts,
                 bitmap: Optional[np.ndarray] = None) -> np.ndarray:
-    """Words of one filter per int64 element array: row r of the returned
-    ``(len(arrays), words)`` uint64 matrix sets the k bits of every element
-    of ``arrays[r]``.
+    """Words of one filter per run of the int64 elements ``xs``: ``counts``
+    cuts ``xs`` into consecutive runs, and row r of the returned
+    ``(len(counts), words)`` uint64 matrix sets the k bits of every element
+    of run r.  A run may be empty.
 
-    One ``hash_many`` call per hash function covers all the arrays: each
-    element's bit index is offset into its array's row of a bool bitmap
-    with one row of ``64 * words`` entries per array, and one ``packbits``
-    packs the rows, padding included.  ``bitmap``, if given, is a reused
-    scratch buffer of at least that many entries.
+    One ``hash_many`` call per hash function covers all the runs: each
+    element's bit index is offset into its run's row of a bool bitmap with
+    one row of ``64 * words`` entries per run, and one ``packbits`` packs
+    the rows, padding included.  ``bitmap``, if given, is a reused scratch
+    buffer of at least that many entries.
     """
     n_words = (family.m + 63) // 64
     row_bits = 64 * n_words
-    size = len(arrays) * row_bits
+    size = len(counts) * row_bits
     if bitmap is None:
         bitmap = np.zeros(size, dtype=bool)
     else:
         bitmap = bitmap[:size]
         bitmap.fill(False)
-    if len(arrays) == 1:
-        xs, offsets = arrays[0], None
-    else:
-        xs = np.concatenate(arrays)
-        offsets = np.repeat(np.arange(0, size, row_bits), [a.size for a in arrays])
+    offsets = None
+    if len(counts) > 1:
+        offsets = np.repeat(np.arange(0, size, row_bits), counts)
     for i in range(family.k):
         idx = hash_many(family, i, xs)
         if offsets is not None:
@@ -252,14 +251,14 @@ class BloomFilter:
     def insert_many(self, xs: Iterable[int]) -> None:
         """Bulk insert; equivalent to inserting each element in turn.
 
-        The one-array case of ``filter_rows``, ORed into ``words``; the
+        The one-run case of ``filter_rows``, ORed into ``words``; the
         elements pass through ``check_elements``.
         """
         xs = check_elements(xs, self.namespace_size)
         if xs.size == 0:
             return
         words = self._own_words()
-        words |= filter_rows(self.family, [xs])[0]
+        words |= filter_rows(self.family, xs, [xs.size])[0]
         self._popcount = self._bits = None
 
     def contains(self, x: int) -> bool:

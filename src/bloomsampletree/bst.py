@@ -17,7 +17,7 @@ import math
 import operator
 import struct
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -357,7 +357,7 @@ class _Moves(dict):
 
     def __init__(self, tree: "BloomSampleTree", query: BloomFilter, threshold: float):
         self.threshold = _check_threshold(threshold)
-        if query.family != tree.family:
+        if query.family is not tree.family and query.family != tree.family:
             raise FamilyMismatchError("query filter incompatible with tree filters")
         check_query_namespace(query, tree.plan.namespace_size)
         self.nodes, self.words, self.t1 = tree.nodes, query.words, query.popcount()
@@ -453,17 +453,18 @@ class BloomSampleTree:
 
     # construction ------------------------------------------------------
 
-    def _build(self, js: np.ndarray, arrays) -> "BloomSampleTree":
-        """Fill this empty tree over the ascending leaf indices ``js``, whose
-        elements ``arrays`` yields in the same order, and return it; a parent
-        exists where at least one of its children does.
+    def _build(self, js: np.ndarray, block) -> "BloomSampleTree":
+        """Fill this empty tree over the ascending leaf indices ``js`` and
+        return it; a parent exists where at least one of its children does.
+        ``block(a, b)`` gives the elements of leaves ``js[a:b]``: one int64
+        array of them, leaf after leaf, and each leaf's count.
 
         Leaves are filled in batches of as many rows as fit a bitmap of
-        ``_BUILD_BATCH_BYTES``: one ``filter_rows`` call per batch, so one
-        ``hash_many`` call per hash function, written into the rows of one
-        leaf matrix.  Every element is hashed exactly once, into its leaf.
-        Each level above is one OR of two gathered rows per parent, its
-        first and last present child (the same row for an only child).
+        ``_BUILD_BATCH_BYTES``: one ``block`` and one ``filter_rows`` call per
+        batch, so one ``hash_many`` call per hash function, written into the
+        rows of one leaf matrix.  Every element is hashed exactly once, into
+        its leaf.  Each level above is one OR of two gathered rows per parent,
+        its first and last present child (the same row for an only child).
         Nodes are row views of their level's matrix.
         """
         plan, family = self.plan, self.family
@@ -473,10 +474,9 @@ class BloomSampleTree:
         step = max(1, _BUILD_BATCH_BYTES // (64 * n_words))
         bitmap = np.empty(min(step, js.size) * 64 * n_words, dtype=bool)
         words = np.empty((js.size, n_words), dtype=np.uint64)
-        arrays = iter(arrays)
         for start in range(0, js.size, step):
-            batch = list(islice(arrays, step))
-            words[start:start + len(batch)] = filter_rows(family, batch, bitmap)
+            stop = min(start + step, js.size)
+            words[start:stop] = filter_rows(family, *block(start, stop), bitmap)
         for level in range(plan.depth, -1, -1):
             if level < plan.depth:
                 parents = js >> 1
@@ -491,27 +491,48 @@ class BloomSampleTree:
 
     @classmethod
     def build_full(cls, plan: TreePlan, family) -> "BloomSampleTree":
-        """Complete tree; node (i, j) stores every namespace element of its range."""
+        """Complete tree; node (i, j) stores every namespace element of its range.
+
+        A batch of leaves is one ``arange`` over their range; the bounds are
+        Python ints, clipped to M, so none overflows int64 however wide the
+        padded namespace.
+        """
         tree = cls(plan, family)  # checks the plan before anything is allocated
         M, width = plan.namespace_size, plan.leaf_size
-        return tree._build(np.arange(1 << plan.depth), (
-            np.arange(j * width, min((j + 1) * width, M), dtype=np.int64)
-            for j in range(1 << plan.depth)))
+
+        def block(a, b):
+            bounds = [min(j * width, M) for j in range(a, b + 1)]
+            return (np.arange(bounds[0], bounds[-1], dtype=np.int64),
+                    [hi - lo for lo, hi in zip(bounds, bounds[1:])])
+
+        return tree._build(np.arange(1 << plan.depth), block)
 
     @classmethod
     def build_pruned(cls, plan: TreePlan, family, occupied) -> "BloomSampleTree":
         """Materialize only nodes whose range holds occupied elements.
 
         ``occupied`` passes through ``check_elements``, so a value that is
-        not an integer or lies outside [0, M) raises ValueError.
+        not an integer or lies outside [0, M) raises ValueError.  Ids in any
+        order, repeats included, give the same tree.  One comparison pass
+        tells whether they are strictly ascending: such ids are used as
+        given, in O(n), and a batch of leaves is one slice of them.  Other
+        ids are first sorted and their repeats dropped, O(n log n).
         """
         tree = cls(plan, family)
-        occ = np.sort(check_elements(occupied, plan.namespace_size))
-        occ = occ[np.diff(occ, prepend=-1) > 0]  # drop repeats; cheaper than np.unique
+        occ = check_elements(occupied, plan.namespace_size)
+        if not (occ[1:] > occ[:-1]).all():
+            occ = np.sort(occ)
+            occ = occ[np.diff(occ, prepend=-1) > 0]  # drop repeats; cheaper than np.unique
         # leaf boundaries come from the data, so a sparse namespace costs O(n)
         leaf = occ // plan.leaf_size
-        starts = np.flatnonzero(np.diff(leaf, prepend=-1))
-        return tree._build(leaf[starts], np.split(occ, starts[1:]))
+        # the r-th present leaf holds occ[bounds[r]:bounds[r + 1]]
+        bounds = np.flatnonzero(np.diff(leaf, prepend=-1, append=-1))
+        counts = np.diff(bounds)
+
+        def block(a, b):
+            return occ[bounds[a]:bounds[b]], counts[a:b]
+
+        return tree._build(leaf[bounds[:-1]], block)
 
     def insert(self, x: int) -> None:
         """Add one occupied element, creating missing path nodes.
@@ -691,8 +712,8 @@ class BloomSampleTree:
         for level in range(plan.depth + 1):
             if level:
                 frontier = [c for j in frontier for c in (2 * j, 2 * j + 1)]
-            present = [(j, self.nodes[(level, j)]) for j in frontier
-                       if (level, j) in self.nodes]
+            present = [(j, node) for j in frontier
+                       if (node := self.nodes.get((level, j))) is not None]
             if not present:
                 return np.empty(0, dtype=np.int64), counters
             counters.intersections += len(present)

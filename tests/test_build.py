@@ -4,7 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bloomsampletree import bloom, bst
 from bloomsampletree.bloom import BloomFilter, build_filter
@@ -205,6 +205,100 @@ def test_random_small_plans_match_reference(M, m, k, ratio, kind, rows, seed, sh
         tree = (BloomSampleTree.build_full(plan, fam) if full
                 else BloomSampleTree.build_pruned(plan, fam, occ))
     assert_same_tree(tree, reference_build(plan, fam, occ))
+
+
+def _orders(ids, seed):
+    """The ascending, descending, shuffled and repeated forms of ``ids``."""
+    rng = np.random.default_rng(seed)
+    asc = np.unique(np.asarray(ids, dtype=np.int64))
+    repeated = np.concatenate([asc, rng.choice(asc, asc.size), asc[:1]])
+    return {"ascending": asc, "descending": asc[::-1].copy(),
+            "shuffled": rng.permutation(asc), "repeated": rng.permutation(repeated)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(M=st.integers(1, 300), kind=st.sampled_from(FAMILIES), rows=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1), share=st.floats(0.0, 1.0),
+       ends=st.sampled_from(["", "first", "last", "both"]))
+@example(M=50, kind=FamilyKind.MURMUR3, rows=1, seed=0, share=0.0, ends="")
+@example(M=50, kind=FamilyKind.SIMPLE_LINEAR, rows=2, seed=0, share=0.0, ends="first")
+@example(M=50, kind=FamilyKind.MD5, rows=2, seed=0, share=0.0, ends="last")
+@example(M=1, kind=FamilyKind.MURMUR3, rows=1, seed=0, share=0.0, ends="both")
+def test_input_order_gives_the_same_tree(M, kind, rows, seed, share, ends):
+    """Ascending ids are used as given and any other order is sorted first;
+    every order, repeats included, gives the same bytes, with small batches
+    so that leaves straddle batch boundaries."""
+    plan = plan_with_m(64, M, 3, 3.5)
+    fam = make_family(kind, plan.k, plan.m, seed=seed)
+    ids = np.random.default_rng(seed).choice(M, int(share * M), replace=False).tolist()
+    ids += [0] * (ends in ("first", "both")) + [M - 1] * (ends in ("last", "both"))
+    with pytest.MonkeyPatch.context() as patch:
+        set_batch_rows(patch, plan.m, rows)
+        files = {name: BloomSampleTree.build_pruned(plan, fam, xs).to_bytes()
+                 for name, xs in _orders(ids, seed).items()}
+    assert set(files.values()) == {reference_build(plan, fam, ids).to_bytes()}, files.keys()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 40),
+       bad=st.sampled_from([-1, 200, 10**6, 2.5, -0.5]))
+def test_input_order_gives_the_same_error(seed, n, bad):
+    """One id outside [0, M) or not an integer raises the same ValueError
+    text in every order of the ids around it."""
+    plan = plan_with_m(64, 200, 3, 3.5)
+    fam = make_family(FamilyKind.MURMUR3, plan.k, plan.m, seed=1)
+    rng = np.random.default_rng(seed)
+    messages = set()
+    for xs in _orders(rng.choice(200, n, replace=False), seed).values():
+        ids = xs.tolist()
+        ids.insert(int(rng.integers(len(ids) + 1)), bad)
+        with pytest.raises(ValueError) as err:
+            BloomSampleTree.build_pruned(plan, fam, ids)
+        messages.add(str(err.value))
+    assert len(messages) == 1, messages
+
+
+class TestCallerInputIsOnlyRead:
+    """Ascending int64 ids are not copied, so the builder hashes slices of
+    the caller's own array: it must read them and never write them."""
+
+    @pytest.fixture(params=[1, 3, None], ids=["rows1", "rows3", "default"])
+    def build(self, request, monkeypatch):
+        plan, occ = CASES["pruned"]
+        set_batch_rows(monkeypatch, plan.m, request.param)
+        fam = make_family(FamilyKind.MURMUR3, plan.k, plan.m, seed=3)
+        ids = np.unique(occ)
+        expected = reference_build(plan, fam, ids).to_bytes()
+        return (lambda xs: BloomSampleTree.build_pruned(plan, fam, xs)), ids, expected
+
+    def test_read_only_buffer(self, build):
+        build_pruned, ids, expected = build
+        data = ids.astype(np.int64).tobytes()
+        xs = np.frombuffer(data, dtype=np.int64)
+        assert not xs.flags.writeable
+        assert build_pruned(xs).to_bytes() == expected
+        assert xs.tobytes() == data
+
+    def test_strided_view(self, build):
+        build_pruned, ids, expected = build
+        wide = np.full(2 * ids.size, -7, dtype=np.int64)  # the gaps are out of range
+        wide[::2] = ids
+        before = wide.copy()
+        assert build_pruned(wide[::2]).to_bytes() == expected
+        assert np.array_equal(wide, before)
+
+    def test_writes_after_the_build_do_not_reach_the_tree(self, build):
+        build_pruned, ids, expected = build
+        xs = ids.astype(np.int64)
+        tree = build_pruned(xs)
+        xs[:] = xs[::-1]
+        xs[0] = 0
+        assert tree.to_bytes() == expected
+
+    def test_list_int32_and_int64_give_the_same_tree(self, build):
+        build_pruned, ids, expected = build
+        for xs in (ids.tolist(), ids.astype(np.int32), ids.astype(np.int64)):
+            assert build_pruned(xs).to_bytes() == expected, type(xs)
 
 
 def _built(case):

@@ -74,6 +74,21 @@ class TestBuild:
                 "--pruned", occupied, "--out", pruned)
         assert full.read_bytes() == pruned.read_bytes()
 
+    def test_pruned_input_order_does_not_change_the_file(self, capsys, tmp_path):
+        ids = np.random.default_rng(5).choice(1000, 120, replace=False)
+        ascending, shuffled = tmp_path / "asc.txt", tmp_path / "shuffled.txt"
+        ascending.write_text("".join(f"{x}\n" for x in np.sort(ids)))
+        mixed = np.random.default_rng(6).permutation(np.concatenate([ids, ids[:30]]))
+        shuffled.write_text("".join(f"{x}\n" for x in mixed))
+        files = []
+        for occupied in (ascending, shuffled):
+            files.append(tmp_path / f"{occupied.stem}.bstr")
+            code, _ = run_cli(capsys, "build", "-M", 1000, "--force-m", 256,
+                              "--cost-ratio", 4.0, "--pruned", occupied, "--out", files[-1])
+            assert code == 0
+        assert files[0].read_bytes() == files[1].read_bytes()
+        assert BloomSampleTree.load(files[0]).plan.depth > 2
+
     def test_empty_occupancy_builds_zero_nodes(self, capsys, tmp_path):
         occupied = tmp_path / "none.txt"
         occupied.write_text("# nothing here\n")
